@@ -17,7 +17,8 @@ from fractions import Fraction
 
 import click
 
-from .core import Convention, factorize, totient
+from . import __version__
+from .core import Convention, factorize, totient, totient_from_factorization
 from .farey import (
     ENUMERATION_BOUND,
     FAREY_MATERIALIZE_BOUND,
@@ -105,7 +106,7 @@ def _fraction_str(f: Fraction) -> str:
 
 
 @click.group()
-@click.version_option(package_name="totient-lab")
+@click.version_option(__version__)
 def main() -> None:
     """Totient values, reduced-fraction counts, and series coefficients."""
 
@@ -119,11 +120,14 @@ def main() -> None:
 def cmd_totient(n: int, convention: str, fmt: str, verbose: bool) -> None:
     """Totient of N: how many positive integers below N are coprime to it."""
     conv = Convention(convention)
-    value = totient(n, conv)
+    factorization = factorize(n) if verbose and fmt != "csv" else None
+    if factorization is None:
+        value = totient(n, conv)
+    else:
+        value = totient_from_factorization(factorization, conv)
     if fmt == "csv":
         _emit(f"n,phi\n{n},{value}\n")
         return
-    factorization = factorize(n) if verbose else None
     if fmt == "json":
         payload: dict = {"n": n, "convention": conv.value, "phi": value}
         if factorization is not None:
@@ -150,12 +154,10 @@ def cmd_totient(n: int, convention: str, fmt: str, verbose: bool) -> None:
 @click.argument("max_n", type=DECIMAL)
 @_convention_option
 @_format_option
-@click.option("--threads", type=DECIMAL, default=1, show_default=True,
-              help="Worker threads for table construction (result is bit-identical for any count).")
 @_lib_errors
-def cmd_table(max_n: int, convention: str, fmt: str, threads: int) -> None:
+def cmd_table(max_n: int, convention: str, fmt: str) -> None:
     """Totient values for every n in 1..MAX_N."""
-    table = totient_sieve(max_n, Convention(convention), threads=threads)
+    table = totient_sieve(max_n, Convention(convention))
     if fmt == "json":
         _emit(_json_text(table.json_values()))
         return

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Iterator
 
 #: Largest accepted input value (unsigned 64-bit range).
 INT_CEILING = 2**64 - 1
@@ -54,18 +54,36 @@ def gcd(a: int, b: int) -> int:
     return math.gcd(a, b)
 
 
+def _prime_powers(n: int) -> Iterator[tuple[int, int]]:
+    """Yield the (prime, exponent) pairs of n >= 1 in ascending order.
+
+    The package's one trial-division loop: strip 2, then try odd
+    candidates up to the square root of what remains; a remainder above 1
+    is prime.  Yields nothing for n = 1.
+    """
+    remaining = n
+    exponent = 0
+    while remaining % 2 == 0:
+        remaining //= 2
+        exponent += 1
+    if exponent:
+        yield 2, exponent
+    candidate = 3
+    while candidate * candidate <= remaining:
+        if remaining % candidate == 0:
+            exponent = 0
+            while remaining % candidate == 0:
+                remaining //= candidate
+                exponent += 1
+            yield candidate, exponent
+        candidate += 2
+    if remaining > 1:
+        yield remaining, 1
+
+
 def is_prime(n: int) -> bool:
     """Deterministic trial-division primality check."""
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n >= 2 and next(_prime_powers(n)) == (n, 1)
 
 
 @dataclass(frozen=True)
@@ -111,26 +129,7 @@ class Factorization:
 def factorize(n: int) -> Factorization:
     """Factor n by trial division: strip 2, then odd candidates up to sqrt."""
     _check_positive(n)
-    remaining = n
-    factors: list[tuple[int, int]] = []
-    exponent = 0
-    while remaining % 2 == 0:
-        remaining //= 2
-        exponent += 1
-    if exponent:
-        factors.append((2, exponent))
-    candidate = 3
-    while candidate * candidate <= remaining:
-        if remaining % candidate == 0:
-            exponent = 0
-            while remaining % candidate == 0:
-                remaining //= candidate
-                exponent += 1
-            factors.append((candidate, exponent))
-        candidate += 2
-    if remaining > 1:
-        factors.append((remaining, 1))
-    return Factorization(n, tuple(factors))
+    return Factorization(n, tuple(_prime_powers(n)))
 
 
 def totient_from_factorization(
@@ -157,20 +156,8 @@ def totient(n: int, convention: Convention = Convention.MODERN) -> int:
     if n == 1:
         return convention.value_at_one
     result = n
-    remaining = n
-    if remaining % 2 == 0:
-        result //= 2
-        while remaining % 2 == 0:
-            remaining //= 2
-    candidate = 3
-    while candidate * candidate <= remaining:
-        if remaining % candidate == 0:
-            result = result // candidate * (candidate - 1)
-            while remaining % candidate == 0:
-                remaining //= candidate
-        candidate += 2
-    if remaining > 1:
-        result = result // remaining * (remaining - 1)
+    for prime, _ in _prime_powers(n):
+        result = result // prime * (prime - 1)
     return result
 
 

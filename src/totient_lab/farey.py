@@ -104,25 +104,23 @@ def count_by_exclusion(max_denominator: int) -> FareyCountReport:
     some j/k (j < k coprime) appear with denominators k, 2k, ...,
     floor(D/k) * k; all but the first are reducible, so k contributes
     (floor(D/k) - 1) * totient(k) exclusions.  Terms with floor(D/k) < 2
-    contribute nothing, so the sum stops after k = floor(D/2).
+    contribute nothing, so the sum stops after k = floor(D/2).  The
+    exclusion sum and the count_by_totient_sum field are both read from one
+    totient table up to D; count_by_enumeration is the independent oracle.
     """
     D = max_denominator
     _check_denominator(D)
     total_unreduced = D * (D - 1) // 2
-    excluded = 0
+    phi = totient_sieve(D, Convention.EULER).values
     half = D // 2
-    if half >= 2:
-        table = totient_sieve(half, Convention.EULER)
-        k = np.arange(2, half + 1, dtype=np.uint64)
-        quotients = D // k
-        excluded = int(((quotients - 1) * table.values[1:half]).sum(dtype=np.uint64))
-    count = total_unreduced - excluded
+    k = np.arange(2, half + 1, dtype=np.uint64)
+    excluded = int(((D // k - 1) * phi[1:half]).sum(dtype=np.uint64))
     return FareyCountReport(
         max_denominator=D,
         total_unreduced=total_unreduced,
         excluded=excluded,
-        count_by_exclusion=count,
-        count_by_totient_sum=count_by_totient_sum(D),
+        count_by_exclusion=total_unreduced - excluded,
+        count_by_totient_sum=int(phi.sum(dtype=np.uint64)),  # the k=1 term is 0
     )
 
 

@@ -87,13 +87,17 @@ def group_by_coefficient(max_n: int) -> list[CoefficientGroup]:
         raise ValueError(f"grouping needs max_n >= 2, got {max_n}")
     if max_n > SIEVE_LIMIT:
         raise ValueError(f"max_n={max_n} exceeds the table limit {SIEVE_LIMIT}")
+    # the sieve runs before the radical list exists, which lowers peak memory
+    phi = totient_sieve(max_n, Convention.EULER).values
     rad = _radical_table(max_n).tolist()
     by_radical: dict[int, list[int]] = {}
     for n in range(2, max_n + 1):
         by_radical.setdefault(rad[n], []).append(n)
     return [
         CoefficientGroup(
-            coefficient=phi_over_n(r), radical=r, members=tuple(members)
+            coefficient=Fraction(int(phi[r - 1]), r),
+            radical=r,
+            members=tuple(members),
         )
         for r, members in sorted(by_radical.items())
     ]

@@ -10,7 +10,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from math import isqrt
-from typing import IO, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -19,11 +19,6 @@ from .core import Convention, totient, totient_bruteforce
 #: Practical table-size limit.  A full table costs 8 bytes per entry, so
 #: the limit corresponds to roughly 800 MB; larger requests are refused.
 SIEVE_LIMIT = 10**8
-
-#: The cumulative fraction count grows like 3 N^2 / pi^2 and would wrap a
-#: 64-bit accumulator near N = 2.4e9.  SIEVE_LIMIT keeps sums far below
-#: that, but the guard stays in case the limits ever move.
-_SUM_OVERFLOW_N = 2_400_000_000
 
 #: Per-method input bounds for the benchmark.  The brute-force route costs
 #: O(max_n^2 log max_n) total and the per-value factorization route
@@ -65,14 +60,13 @@ class TotientTable:
         return int(self.values[n - 1])
 
     def checksum(self) -> int:
-        """Sum of all table values, reduced mod 2**64."""
-        return int(self.values.sum(dtype=np.uint64))
+        """Position-weighted sum of n * phi(n) over the table, mod 2**64.
 
-    def write_csv(self, stream: IO[str]) -> None:
-        """Write the table as `n,phi` rows with a header, LF line endings."""
-        stream.write("n,phi\n")
-        for n, value in enumerate(self.values.tolist(), start=1):
-            stream.write(f"{n},{value}\n")
+        The weight makes two values that trade places change the result.
+        uint64 products and sums wrap, so the result is exact mod 2**64.
+        """
+        n = np.arange(1, self.max_n + 1, dtype=np.uint64)
+        return int(np.dot(n, self.values))
 
     def json_values(self) -> list[int]:
         """The table as a plain list, index i holding the value for n=i+1."""
@@ -80,7 +74,7 @@ class TotientTable:
 
 
 def totient_sieve(
-    max_n: int, convention: Convention = Convention.MODERN, threads: int = 1
+    max_n: int, convention: Convention = Convention.MODERN
 ) -> TotientTable:
     """Totient table for 1..max_n via the in-place product sieve.
 
@@ -90,13 +84,7 @@ def totient_sieve(
     n.  Primes above max_n/2 have no second multiple in range, so they are
     handled in one vectorized decrement.  Total work is
     O(max_n log log max_n).
-
-    ``threads`` is accepted for interface stability and validated, but
-    construction is single-threaded (the numpy strides are already memory
-    bound); any thread count produces a bit-identical table.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     if max_n < 1:
         raise ValueError(f"max_n must be a positive integer, got {max_n}")
     if max_n > SIEVE_LIMIT:
@@ -139,12 +127,7 @@ def cumulative_counts(checkpoints: Sequence[int]) -> list[CumulativeCountRow]:
         raise ValueError(f"checkpoints must be positive, got {checkpoints[0]}")
     if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
         raise ValueError("checkpoints must be strictly ascending")
-    top = checkpoints[-1]
-    if top > _SUM_OVERFLOW_N:
-        raise OverflowError(
-            f"cumulative count at {top} would overflow the 64-bit accumulator"
-        )
-    table = totient_sieve(top, Convention.EULER)
+    table = totient_sieve(checkpoints[-1], Convention.EULER)
     running = np.cumsum(table.values, dtype=np.uint64)
     return [
         CumulativeCountRow(max_denominator=d, fraction_count=int(running[d - 1]))
@@ -175,80 +158,47 @@ class BenchReport:
         return len(set(self.executed_checksums())) <= 1
 
 
+def _weighted_checksum(phi: Callable[[int], int], max_n: int) -> int:
+    """Sum of n * phi(n) for n = 1..max_n, mod 2**64, one value at a time."""
+    return sum(n * phi(n) for n in range(1, max_n + 1)) & _UINT64_MASK
+
+
+#: The benchmarked routes, in report order: name, input bound, the bound's
+#: description in the skip reason, and the route's checksum over 1..max_n.
+_BENCH_METHODS: tuple[tuple[str, int, str, Callable[[int], int]], ...] = (
+    ("bruteforce-oracle", BENCH_BRUTEFORCE_BOUND, "brute-force bound",
+     lambda max_n: _weighted_checksum(totient_bruteforce, max_n)),
+    ("per-n-factorization", BENCH_FACTORIZATION_BOUND, "factorization bound",
+     lambda max_n: _weighted_checksum(
+         lambda n: totient(n, Convention.EULER), max_n)),
+    ("sieve", SIEVE_LIMIT, "sieve limit",
+     lambda max_n: totient_sieve(max_n, Convention.EULER).checksum()),
+)
+
+
 def bench_totient_methods(max_n: int) -> BenchReport:
     """Time the three totient routes over 1..max_n (EULER convention).
 
     Methods whose documented bound is exceeded are skipped and marked,
-    never run.  Checksums (sum of all values mod 2**64) of every executed
-    method must agree; the report exposes that check but does not raise,
-    so callers decide how to surface a mismatch.
+    never run.  Checksums (sum of n * totient(n) mod 2**64) of every
+    executed method must agree; the report exposes that check but does not
+    raise, so callers decide how to surface a mismatch.
     """
     if max_n < 1:
         raise ValueError(f"max_n must be a positive integer, got {max_n}")
     results: list[MethodResult] = []
-
-    if max_n > BENCH_BRUTEFORCE_BOUND:
-        results.append(
-            MethodResult(
-                method="bruteforce-oracle",
+    for method, bound, bound_name, route in _BENCH_METHODS:
+        if max_n > bound:
+            results.append(MethodResult(
+                method=method,
                 executed=False,
-                skip_reason=f"max_n exceeds brute-force bound {BENCH_BRUTEFORCE_BOUND}",
-            )
-        )
-    else:
+                skip_reason=f"max_n exceeds {bound_name} {bound}",
+            ))
+            continue
         start = time.perf_counter()
-        total = 0
-        for n in range(1, max_n + 1):
-            total += totient_bruteforce(n)
+        checksum = route(max_n)
         elapsed = time.perf_counter() - start
-        results.append(
-            MethodResult(
-                method="bruteforce-oracle",
-                executed=True,
-                seconds=elapsed,
-                checksum=total & _UINT64_MASK,
-            )
-        )
-
-    if max_n > BENCH_FACTORIZATION_BOUND:
-        results.append(
-            MethodResult(
-                method="per-n-factorization",
-                executed=False,
-                skip_reason=f"max_n exceeds factorization bound {BENCH_FACTORIZATION_BOUND}",
-            )
-        )
-    else:
-        start = time.perf_counter()
-        total = 0
-        for n in range(1, max_n + 1):
-            total += totient(n, Convention.EULER)
-        elapsed = time.perf_counter() - start
-        results.append(
-            MethodResult(
-                method="per-n-factorization",
-                executed=True,
-                seconds=elapsed,
-                checksum=total & _UINT64_MASK,
-            )
-        )
-
-    if max_n > SIEVE_LIMIT:
-        results.append(
-            MethodResult(
-                method="sieve",
-                executed=False,
-                skip_reason=f"max_n exceeds sieve limit {SIEVE_LIMIT}",
-            )
-        )
-    else:
-        start = time.perf_counter()
-        checksum = totient_sieve(max_n, Convention.EULER).checksum()
-        elapsed = time.perf_counter() - start
-        results.append(
-            MethodResult(
-                method="sieve", executed=True, seconds=elapsed, checksum=checksum
-            )
-        )
-
+        results.append(MethodResult(
+            method=method, executed=True, seconds=elapsed, checksum=checksum
+        ))
     return BenchReport(max_n=max_n, results=tuple(results))

@@ -120,11 +120,6 @@ class TestTableCommand:
         out = run_ok(runner, ["table", "64", "--convention", "euler", "--format", "json"])
         assert json.loads(out) == totient_sieve(64, Convention.EULER).json_values()
 
-    def test_threads_flag_is_deterministic(self, runner):
-        one = run_ok(runner, ["table", "100", "--threads", "1", "--format", "csv"])
-        four = run_ok(runner, ["table", "100", "--threads", "4", "--format", "csv"])
-        assert one == four
-
 
 class TestCountCommand:
     def test_all_methods_agree_at_20(self, runner):

@@ -15,6 +15,7 @@ from totient_lab import (
     gcd,
     is_prime,
     numbers_with_prime_support,
+    primes_up_to,
     totient,
     totient_bruteforce,
     totient_from_factorization,
@@ -277,6 +278,10 @@ class TestNumbersWithPrimeSupport:
 class TestIsPrime:
     def test_small_values(self):
         assert [n for n in range(2, 60) if is_prime(n)] == small_primes(59)[:]
+
+    def test_matches_sieve_to_1e5(self):
+        limit = 10**5
+        assert [n for n in range(limit + 1) if is_prime(n)] == primes_up_to(limit).tolist()
 
     def test_edges(self):
         assert not is_prime(0)

@@ -146,6 +146,14 @@ class TestGroupByCoefficient:
             for member in g.members:
                 assert phi_over_n(member) == g.coefficient
 
+    def test_table_coefficients_match_scalar_route_to_5000(self):
+        # the grouping reads totient(r) from the sieve; phi_over_n and radical
+        # factor each value by trial division
+        for g in group_by_coefficient(5000):
+            assert g.coefficient == phi_over_n(g.radical), g.radical
+            for member in g.members:
+                assert radical(member) == g.radical, member
+
     def test_prime_power_groups_are_pure_powers(self):
         groups = {g.radical: g for g in group_by_coefficient(1000)}
         for p in (2, 3, 5, 7):

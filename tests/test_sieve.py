@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,6 +6,7 @@ from hypothesis import strategies as st
 from totient_lab import (
     SIEVE_LIMIT,
     Convention,
+    TotientTable,
     bench_totient_methods,
     cumulative_counts,
     primes_up_to,
@@ -89,26 +88,17 @@ class TestTotientSieve:
         with pytest.raises(ValueError, match="limit"):
             totient_sieve(SIEVE_LIMIT + 1)
 
-    def test_thread_count_does_not_change_table(self):
-        serial = totient_sieve(3000, EULER, threads=1)
-        parallel = totient_sieve(3000, EULER, threads=4)
-        assert np.array_equal(serial.values, parallel.values)
-
-    def test_bad_thread_count_rejected(self):
-        with pytest.raises(ValueError):
-            totient_sieve(10, threads=0)
-
     @given(n=st.integers(1, 5000))
     def test_entries_match_core(self, table_5000, n):
         assert table_5000.phi(n) == totient(n, EULER)
 
 
-class TestTableExport:
-    def test_csv_shape(self):
-        buffer = io.StringIO()
-        totient_sieve(3, EULER).write_csv(buffer)
-        assert buffer.getvalue() == "n,phi\n1,0\n2,1\n3,2\n"
+def weighted_sum(values) -> int:
+    """Sum of n * values[n - 1] over n = 1.., reduced mod 2**64."""
+    return sum(n * v for n, v in enumerate(values, start=1)) % 2**64
 
+
+class TestTableExport:
     def test_json_values_roundtrip(self):
         table = totient_sieve(40, MODERN)
         values = table.json_values()
@@ -117,8 +107,18 @@ class TestTableExport:
         assert values == [table.phi(n) for n in range(1, 41)]
 
     def test_checksum_mod_2_64(self):
-        table = totient_sieve(1000, EULER)
-        assert table.checksum() == sum(table.json_values()) % 2**64
+        assert totient_sieve(100, EULER).checksum() == weighted_sum(TOTIENT_1_TO_100)
+        # values near 2**64 make the uint64 products and sum wrap
+        big = [2**64 - 1, 2**63 + 3, 2**62 + 7]
+        table = TotientTable(3, EULER, np.array(big, dtype=np.uint64))
+        assert table.checksum() == weighted_sum(big)
+
+    def test_checksum_sees_swapped_values(self):
+        values = np.array(TOTIENT_1_TO_100, dtype=np.uint64)
+        values[[5, 6]] = values[[6, 5]]  # phi(6) = 2 and phi(7) = 6 trade places
+        swapped = TotientTable(100, EULER, values)
+        assert swapped.values.sum() == sum(TOTIENT_1_TO_100)
+        assert swapped.checksum() != totient_sieve(100, EULER).checksum()
 
 
 class TestCumulativeCounts:
@@ -205,8 +205,7 @@ class TestBench:
 
     def test_checksum_value(self):
         report = bench_totient_methods(100)
-        expected = sum(TOTIENT_1_TO_100) % 2**64
-        assert set(report.executed_checksums()) == {expected}
+        assert set(report.executed_checksums()) == {weighted_sum(TOTIENT_1_TO_100)}
 
 
 class TestPrimesUpTo:
