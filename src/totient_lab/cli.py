@@ -12,8 +12,12 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import os
 import re
+import sys
 from fractions import Fraction
+from itertools import islice, starmap
+from typing import Iterable, Iterator
 
 import click
 
@@ -26,7 +30,7 @@ from .farey import (
     count_by_enumeration,
     count_by_exclusion,
     count_by_totient_sum,
-    iter_farey_sequence,
+    iter_farey_pairs,
 )
 from .series import (
     group_by_coefficient,
@@ -36,6 +40,9 @@ from .series import (
 from .sieve import bench_totient_methods, totient_sieve
 
 _DECIMAL_RE = re.compile(r"[0-9]+")
+
+#: Rows that _write_rows renders and writes at a time.
+ROWS_PER_CHUNK = 1 << 16
 
 
 class DomainError(click.ClickException):
@@ -97,6 +104,41 @@ def _emit(text: str) -> None:
     click.echo(text, nl=False)
 
 
+def _write_rows(head: str, row: str, rows: Iterable[tuple], tail: str,
+                sep: str = "\n") -> int:
+    """Write head, the rows rendered by row.format(*r) and joined by sep,
+    then tail; return the number of rows written.
+
+    Rows are rendered and written ROWS_PER_CHUNK at a time, so memory stays
+    flat however many there are.  A reader that closes the pipe early ends
+    the command with exit code 0 and nothing on stderr, as it did when the
+    whole output went out in one write.
+    """
+    rows = iter(rows)  # islice must resume where the last chunk ended
+    written = 0
+    try:
+        _emit(head)
+        while chunk := list(starmap(row.format, islice(rows, ROWS_PER_CHUNK))):
+            _emit((sep if written else "") + sep.join(chunk))
+            written += len(chunk)
+        _emit(tail)
+    except BrokenPipeError:
+        # Later flushes, at exit included, go to /dev/null instead of failing.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise click.exceptions.Exit(0) from None
+    return written
+
+
+def _numbered(values) -> Iterator[tuple[int, int]]:
+    """(n, values[n - 1]) for n = 1, 2, ..., converting ROWS_PER_CHUNK
+    numpy values to ints at a time."""
+    for start in range(0, len(values), ROWS_PER_CHUNK):
+        block = values[start:start + ROWS_PER_CHUNK].tolist()
+        yield from zip(range(start + 1, start + 1 + len(block)), block)
+
+
 def _json_text(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
@@ -150,6 +192,15 @@ def cmd_totient(n: int, convention: str, fmt: str, verbose: bool) -> None:
     _emit("\n".join(lines) + "\n")
 
 
+#: Per format: head, row template for (n, phi), row separator, tail.  The
+#: json layout is that of json.dumps(list, indent=2) plus a newline.
+_TABLE_LAYOUTS = {
+    "plain": ("", "{} {}", "\n", "\n"),
+    "csv": ("n,phi\n", "{},{}", "\n", "\n"),
+    "json": ("[\n", "  {1}", ",\n", "\n]\n"),
+}
+
+
 @main.command("table")
 @click.argument("max_n", type=DECIMAL)
 @_convention_option
@@ -158,15 +209,8 @@ def cmd_totient(n: int, convention: str, fmt: str, verbose: bool) -> None:
 def cmd_table(max_n: int, convention: str, fmt: str) -> None:
     """Totient values for every n in 1..MAX_N."""
     table = totient_sieve(max_n, Convention(convention))
-    if fmt == "json":
-        _emit(_json_text(table.json_values()))
-        return
-    values = table.json_values()
-    if fmt == "csv":
-        rows = [f"{n},{v}" for n, v in enumerate(values, start=1)]
-        _emit("n,phi\n" + "\n".join(rows) + "\n")
-        return
-    _emit("".join(f"{n} {v}\n" for n, v in enumerate(values, start=1)))
+    head, row, sep, tail = _TABLE_LAYOUTS[fmt]
+    _write_rows(head, row, _numbered(table.values), tail, sep)
 
 
 def _report_payload(report: FareyCountReport) -> dict:
@@ -234,10 +278,13 @@ def cmd_count(max_denominator: int, method: str, fmt: str) -> None:
             lines.append(f"count_by_enumeration: {enumeration_note}")
         _emit("\n".join(lines) + "\n")
 
-    if not report.consistent():
-        raise CrossCheckError(
-            f"counting routes disagree at D={d}: {_report_payload(report)}"
-        )
+    broken = report.first_broken_identity()
+    if broken is not None:
+        raise CrossCheckError(f"counting routes disagree: {broken} at D={d}")
+
+
+#: One fraction of `farey --format json`, as json.dumps(indent=2) lays it out.
+_FAREY_JSON_ROW = '    {{\n      "numerator": {},\n      "denominator": {}\n    }}'
 
 
 @main.command("farey")
@@ -252,28 +299,23 @@ def cmd_farey(max_denominator: int, fmt: str) -> None:
         raise DomainError(
             f"D={d} exceeds the sequence bound {FAREY_MATERIALIZE_BOUND}"
         )
-    if fmt == "json":
-        fractions = [
-            {"numerator": f.numerator, "denominator": f.denominator}
-            for f in iter_farey_sequence(d)
-        ]
-        _emit(_json_text({
-            "max_denominator": d,
-            "count": len(fractions),
-            "fractions": fractions,
-        }))
-        return
+    pairs = iter_farey_pairs(d)  # refuses a bad D before anything is written
     if fmt == "csv":
-        rows = [f"{f.numerator},{f.denominator}" for f in iter_farey_sequence(d)]
-        _emit("numerator,denominator\n" + "\n".join(rows) + "\n")
+        _write_rows("numerator,denominator\n", "{},{}", pairs, "\n")
         return
-    count = 0
-    chunks = []
-    for f in iter_farey_sequence(d):
-        chunks.append(f"{f}\n")
-        count += 1
-    chunks.append(f"count: {count}\n")
-    _emit("".join(chunks))
+    # plain and json print the count, taken from the totient sum and then
+    # checked against the walk
+    count = count_by_totient_sum(d)
+    if fmt == "json":
+        head = f'{{\n  "max_denominator": {d},\n  "count": {count},\n  "fractions": [\n'
+        written = _write_rows(head, _FAREY_JSON_ROW, pairs, "\n  ]\n}\n", sep=",\n")
+    else:
+        written = _write_rows("", "{}/{}", pairs, f"\ncount: {count}\n")
+    if written != count:
+        raise CrossCheckError(
+            f"farey walk wrote {written} fractions at D={d}, "
+            f"count_by_totient_sum gives {count}"
+        )
 
 
 @main.command("series")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import total_ordering
+from itertools import starmap
 from typing import Iterator
 
 import numpy as np
@@ -23,7 +24,9 @@ from .sieve import SIEVE_LIMIT, totient_sieve
 ENUMERATION_BOUND = 10**4
 
 #: farey_sequence materializes about 3 D^2 / pi^2 fraction objects (roughly
-#: 2 GB at this bound).  iter_farey_sequence streams without that cost.
+#: 2 GB at this bound); iter_farey_pairs and iter_farey_sequence stream
+#: without that cost.  The CLI's `farey` streams too, so there the bound
+#: limits time (about 30 M rows), not memory.
 FAREY_MATERIALIZE_BOUND = 10**4
 
 
@@ -78,15 +81,28 @@ class FareyCountReport:
     count_by_totient_sum: int
     count_by_enumeration: int | None = None
 
+    def first_broken_identity(self) -> str | None:
+        """The first mutual identity that the populated fields break, as
+        ``"lhs=value != rhs=value"``, or None when every one holds."""
+        d = self.max_denominator
+        identities = [
+            ("total_unreduced", self.total_unreduced, "D(D-1)/2", d * (d - 1) // 2),
+            ("count_by_exclusion", self.count_by_exclusion,
+             "total_unreduced-excluded", self.total_unreduced - self.excluded),
+            ("count_by_exclusion", self.count_by_exclusion,
+             "count_by_totient_sum", self.count_by_totient_sum),
+        ]
+        if self.count_by_enumeration is not None:
+            identities.append(("count_by_enumeration", self.count_by_enumeration,
+                               "count_by_exclusion", self.count_by_exclusion))
+        for lhs, left, rhs, right in identities:
+            if left != right:
+                return f"{lhs}={left} != {rhs}={right}"
+        return None
+
     def consistent(self) -> bool:
         """True when every populated field satisfies the mutual identities."""
-        d = self.max_denominator
-        ok = self.total_unreduced == d * (d - 1) // 2
-        ok = ok and self.count_by_exclusion == self.total_unreduced - self.excluded
-        ok = ok and self.count_by_exclusion == self.count_by_totient_sum
-        if self.count_by_enumeration is not None:
-            ok = ok and self.count_by_enumeration == self.count_by_exclusion
-        return ok
+        return self.first_broken_identity() is None
 
 
 def count_by_totient_sum(max_denominator: int) -> int:
@@ -144,22 +160,31 @@ def count_by_enumeration(max_denominator: int) -> int:
     return sum(1 for b in range(2, D + 1) for a in range(1, b) if g(a, b) == 1)
 
 
-def iter_farey_sequence(max_denominator: int) -> Iterator[ReducedFraction]:
-    """Yield the reduced fractions in (0, 1) with denominator <= D in
-    strictly increasing value order.
+def iter_farey_pairs(max_denominator: int) -> Iterator[tuple[int, int]]:
+    """The reduced fractions in (0, 1) with denominator <= D, as
+    (numerator, denominator) ints in strictly increasing value order.
 
     Uses the classic neighbor recurrence: seeded with the virtual endpoint
     0/1 and the first interior term 1/D, consecutive terms a/b, c/d give
     the next term as k*(c, d) - (a, b) with k = (D + b) // d.  The
-    endpoints 0/1 and 1/1 are never yielded.
+    endpoints 0/1 and 1/1 are never yielded.  D is checked at the call,
+    before the first term is asked for.
     """
-    D = max_denominator
-    _check_denominator(D)
+    _check_denominator(max_denominator)
+    return _neighbor_walk(max_denominator)
+
+
+def _neighbor_walk(D: int) -> Iterator[tuple[int, int]]:
     a, b, c, d = 0, 1, 1, D
     while d > 1:  # d == 1 means the walk reached the endpoint 1/1
-        yield ReducedFraction(c, d)
+        yield c, d
         k = (D + b) // d
         a, b, c, d = c, d, k * c - a, k * d - b
+
+
+def iter_farey_sequence(max_denominator: int) -> Iterator[ReducedFraction]:
+    """iter_farey_pairs as validated ReducedFraction objects."""
+    return starmap(ReducedFraction, iter_farey_pairs(max_denominator))
 
 
 def farey_sequence(max_denominator: int) -> list[ReducedFraction]:

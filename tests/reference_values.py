@@ -28,7 +28,6 @@ TOTIENT_1_TO_100 = [
 # agree with that oracle.
 CUMULATIVE_PRINTED = [31, 127, 277, 489, 773, 1101, 1493, 1975, 2489, 3043]
 CUMULATIVE_ERRATA = {80: 1965, 90: 2479}
-CUMULATIVE_COMPUTED = [31, 127, 277, 489, 773, 1101, 1493, 1965, 2479, 3043]
 
 
 def totient_by_gcd_count(n: int) -> int:

@@ -117,7 +117,10 @@ def test_cumulative_table_rows_match_column_sums():
         elapsed = time.perf_counter() - start
         expected = [sum(TOTIENT_1_TO_100[1:d]) for d in range(10, 101, 10)]
         assert [r.fraction_count for r in rows] == expected
-        assert expected[:7] == CUMULATIVE_PRINTED[:7] and expected[9] == CUMULATIVE_PRINTED[9]
+        assert expected == [
+            CUMULATIVE_ERRATA.get(d, printed)
+            for d, printed in zip(range(10, 101, 10), CUMULATIVE_PRINTED)
+        ]
         assert elapsed < 1.0
 
 

@@ -120,6 +120,25 @@ class TestTableCommand:
         out = run_ok(runner, ["table", "64", "--convention", "euler", "--format", "json"])
         assert json.loads(out) == totient_sieve(64, Convention.EULER).json_values()
 
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    def test_matches_text_rebuilt_from_table_values(self, runner, fmt):
+        # 70,000 rows cross a chunk boundary of the streaming writer
+        n_max = 70_000
+        assert n_max > cli.ROWS_PER_CHUNK
+        values = totient_sieve(n_max, Convention.MODERN).json_values()
+        expected = {
+            "plain": "".join(f"{n} {v}\n" for n, v in enumerate(values, start=1)),
+            "csv": "n,phi\n" + "".join(f"{n},{v}\n" for n, v in enumerate(values, start=1)),
+            "json": json.dumps(values, indent=2) + "\n",
+        }[fmt]
+        assert run_ok(runner, ["table", str(n_max), "--format", fmt]) == expected
+
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    def test_bad_max_n_refused_before_output(self, runner, fmt):
+        result = runner.invoke(cli.main, ["table", "0", "--format", fmt])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+
 
 class TestCountCommand:
     def test_all_methods_agree_at_20(self, runner):
@@ -170,6 +189,7 @@ class TestCountCommand:
         result = runner.invoke(cli.main, ["count", "20", "--method", "all"])
         assert result.exit_code == 3
         assert "disagree" in result.stderr
+        assert "count_by_enumeration=999 != count_by_exclusion=127 at D=20" in result.stderr
 
 
 class TestFareyCommand:
@@ -202,6 +222,46 @@ class TestFareyCommand:
     def test_bound_refused(self, runner):
         result = runner.invoke(cli.main, ["farey", "10001"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("args", [
+        ["farey", "0"],
+        ["farey", "1"],
+        ["farey", "1", "--format", "csv"],
+        ["farey", "1", "--format", "json"],
+    ])
+    def test_bad_denominator_refused_before_output(self, runner, args):
+        result = runner.invoke(cli.main, args)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    @pytest.mark.parametrize("d", [2, 10, 470])
+    def test_matches_text_rebuilt_from_sequence(self, runner, d, fmt):
+        # D = 470 gives 67,291 rows, which cross a chunk boundary
+        seq = farey_sequence(d)
+        expected = {
+            "plain": "".join(f"{f}\n" for f in seq) + f"count: {len(seq)}\n",
+            "csv": "numerator,denominator\n"
+                   + "".join(f"{f.numerator},{f.denominator}\n" for f in seq),
+            "json": json.dumps({
+                "max_denominator": d,
+                "count": len(seq),
+                "fractions": [
+                    {"numerator": f.numerator, "denominator": f.denominator} for f in seq
+                ],
+            }, indent=2) + "\n",
+        }[fmt]
+        assert run_ok(runner, ["farey", str(d), "--format", fmt]) == expected
+
+    def test_470_crosses_a_chunk_boundary(self):
+        assert len(farey_sequence(470)) == 67_291 > cli.ROWS_PER_CHUNK
+
+    @pytest.mark.parametrize("fmt", ["plain", "json"])
+    def test_count_disagreeing_with_walk_exits_3(self, runner, monkeypatch, fmt):
+        monkeypatch.setattr(cli, "count_by_totient_sum", lambda d: 30)
+        result = runner.invoke(cli.main, ["farey", "10", "--format", fmt])
+        assert result.exit_code == 3
+        assert "wrote 31 fractions at D=10, count_by_totient_sum gives 30" in result.stderr
 
 
 class TestSeriesCommand:

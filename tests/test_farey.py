@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 from math import gcd
@@ -16,6 +17,7 @@ from totient_lab import (
     count_by_totient_sum,
     count_reducible,
     farey_sequence,
+    iter_farey_pairs,
     iter_farey_sequence,
 )
 from reference_values import totient_by_gcd_count
@@ -111,6 +113,23 @@ class TestCountByExclusion:
             count_by_totient_sum=30,
         )
         assert not bad.consistent()
+        assert bad.first_broken_identity() == "count_by_exclusion=31 != count_by_totient_sum=30"
+
+    def test_first_broken_identity_in_order(self):
+        good = count_by_exclusion(10)
+        assert good.first_broken_identity() is None
+        cases = [
+            ({"total_unreduced": 46}, "total_unreduced=46 != D(D-1)/2=45"),
+            ({"excluded": 15}, "count_by_exclusion=31 != total_unreduced-excluded=30"),
+            ({"count_by_enumeration": 30}, "count_by_enumeration=30 != count_by_exclusion=31"),
+            # two broken identities: the first in order is named
+            ({"excluded": 15, "count_by_enumeration": 30},
+             "count_by_exclusion=31 != total_unreduced-excluded=30"),
+        ]
+        for changes, expected in cases:
+            bad = dataclasses.replace(good, **changes)
+            assert bad.first_broken_identity() == expected
+            assert not bad.consistent()
 
 
 class TestCountReducible:
@@ -190,6 +209,21 @@ class TestFareySequence:
     def test_materialize_bound_refused(self):
         with pytest.raises(ValueError, match="iter_farey_sequence"):
             farey_sequence(FAREY_MATERIALIZE_BOUND + 1)
+
+    @pytest.mark.parametrize("d", [0, 1, -3])
+    def test_bad_denominator_refused_at_call(self, d):
+        # before the first next(): a streaming caller writes nothing first
+        with pytest.raises(ValueError):
+            iter_farey_pairs(d)
+        with pytest.raises(ValueError):
+            iter_farey_sequence(d)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 80))
+    def test_pairs_match_materialized_sequence(self, d):
+        assert list(iter_farey_pairs(d)) == [
+            (f.numerator, f.denominator) for f in farey_sequence(d)
+        ]
 
     def test_streaming_works_past_materialize_bound(self):
         stream = iter_farey_sequence(FAREY_MATERIALIZE_BOUND + 1)

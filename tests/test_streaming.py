@@ -1,0 +1,78 @@
+"""The streamed output of `farey` and `table`, checked in child processes:
+peak memory stays flat as the output grows, and a reader that stops early
+is not an error."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import totient_lab
+
+ENV = {**os.environ, "PYTHONPATH": str(Path(totient_lab.__file__).resolve().parents[1])}
+CLI = [sys.executable, "-m", "totient_lab.cli"]
+
+# Runs the CLI with stdout on /dev/null, reaps it with os.wait4 and prints its
+# exit code and ru_maxrss (KiB).  At exec, Linux carries the peak RSS of the
+# address space being left into the new program's ru_maxrss, so the CLI is
+# started from this helper, which imports only the standard library, and not
+# from pytest, whose peak would mask the CLI's own.
+_PEAK_RSS_HELPER = """
+import os, sys
+argv = [sys.executable, "-m", "totient_lab.cli", *sys.argv[1:]]
+to_null = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
+pid = os.posix_spawn(sys.executable, argv, os.environ, file_actions=to_null)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def peak_rss_bytes(*args: str) -> int:
+    helper = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_HELPER, *args],
+        env=ENV, capture_output=True, text=True, check=True, timeout=300,
+    )
+    exit_code, maxrss_kib = map(int, helper.stdout.split())
+    assert exit_code == 0, args
+    return maxrss_kib * 1024
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB, Linux exec semantics")
+class TestFlatMemory:
+    def test_farey_csv_peak_rss_flat_as_d_grows_4x(self):
+        # the output grows from 0.08 M to 1.2 M rows
+        small = peak_rss_bytes("farey", "500", "--format", "csv")
+        large = peak_rss_bytes("farey", "2000", "--format", "csv")
+        assert large - small < 8 * 2**20, f"peak RSS {small} -> {large} bytes"
+
+    def test_table_csv_peak_rss_per_entry(self):
+        # the totient table itself holds 8 bytes per entry
+        small_n, large_n = 500_000, 2_000_000
+        small = peak_rss_bytes("table", str(small_n), "--format", "csv")
+        large = peak_rss_bytes("table", str(large_n), "--format", "csv")
+        per_entry = (large - small) / (large_n - small_n)
+        assert per_entry <= 32, f"peak RSS {small} -> {large} bytes, {per_entry:.1f} per entry"
+
+
+@pytest.mark.parametrize("args", [
+    ["farey", "2000", "--format", "csv"],
+    ["farey", "2000", "--format", "json"],
+    ["table", "2000000"],
+])
+def test_reader_closing_early_exits_0_quietly(args):
+    # the output is megabytes, far more than a pipe buffers, so the CLI is
+    # still writing when the reader goes away
+    proc = subprocess.Popen(CLI + args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=ENV)
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=120) == 0
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert first
+    assert stderr == b""
