@@ -129,8 +129,12 @@ def count_by_exclusion(max_denominator: int) -> FareyCountReport:
     total_unreduced = D * (D - 1) // 2
     phi = totient_sieve(D, Convention.EULER).values
     half = D // 2
-    k = np.arange(2, half + 1, dtype=np.uint64)
-    excluded = int(((D // k - 1) * phi[1:half]).sum(dtype=np.uint64))
+    # one D/2 buffer: k, then floor(D/k) - 1, then the terms
+    terms = np.arange(2, half + 1, dtype=np.uint64)
+    np.floor_divide(D, terms, out=terms)
+    terms -= 1
+    terms *= phi[1:half]
+    excluded = int(terms.sum(dtype=np.uint64))
     return FareyCountReport(
         max_denominator=D,
         total_unreduced=total_unreduced,

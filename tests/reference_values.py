@@ -2,7 +2,8 @@
 oracles used to derive them.  Oracles here are deliberately independent of
 the package implementation."""
 
-from math import gcd
+from math import gcd, isqrt
+from random import Random
 
 # Totient values for n = 1..100 (value 0 at n = 1) as in the reference
 # table this suite reproduces, verified against totient_by_gcd_count below.
@@ -73,6 +74,46 @@ def small_primes(limit: int) -> list[int]:
             for m in range(p * p, limit + 1, p):
                 flags[m] = False
     return [p for p, f in enumerate(flags) if f]
+
+
+def is_prime_by_trial(n: int) -> bool:
+    """Trial division by 2 and the odd numbers up to the square root."""
+    if n < 4:
+        return n >= 2
+    if n % 2 == 0:
+        return False
+    return all(n % d for d in range(3, isqrt(n) + 1, 2))
+
+
+def largest_primes(limit: int, count: int) -> list[int]:
+    """The count largest primes <= limit, descending."""
+    found = []
+    n = limit
+    while len(found) < count:
+        if is_prime_by_trial(n):
+            found.append(n)
+        n -= 1
+    return found
+
+
+#: Table sizes on both sides of each prime square q*q, q <= 101, where the
+#: split between the primes up to isqrt(N) and those above it moves, and
+#: the three smallest sizes (no prime <= isqrt(N) below N = 4).
+ROOT_EDGE_SIZES = sorted(
+    {2, 3, 4} | {q * q + d for q in small_primes(101) for d in (-1, 0, 1)}
+)
+
+
+def sampled_entries(limit: int, seed: int) -> list[int]:
+    """Spot checks for a table of 1..limit: 2000 seeded random n, the 50
+    largest primes <= limit (cofactor 1) and 2p for the 50 largest primes
+    p <= limit // 2 (cofactor 2, the top of its range)."""
+    rng = Random(seed)
+    return (
+        [rng.randint(1, limit) for _ in range(2000)]
+        + largest_primes(limit, 50)
+        + [2 * p for p in largest_primes(limit // 2, 50)]
+    )
 
 
 assert all(

@@ -14,6 +14,8 @@ from totient_lab import (
     series_coefficients,
     totient,
 )
+from totient_lab.series import _radical_table
+from reference_values import ROOT_EDGE_SIZES, sampled_entries
 
 EULER = Convention.EULER
 
@@ -54,6 +56,20 @@ class TestRadical:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             radical(0)
+
+
+class TestRadicalTable:
+    def test_matches_radical_around_prime_squares(self):
+        by_factorization = [radical(n) for n in range(1, ROOT_EDGE_SIZES[-1] + 1)]
+        for max_n in ROOT_EDGE_SIZES:
+            rad = _radical_table(max_n).tolist()
+            bad = [n for n in range(1, max_n + 1) if rad[n] != by_factorization[n - 1]]
+            assert not bad, f"max_n={max_n}: first wrong entry n={bad[0]}"
+
+    def test_matches_radical_at_sampled_entries_of_1e7(self):
+        rad = _radical_table(10**7)
+        for n in sampled_entries(10**7, seed=20071):
+            assert rad[n] == radical(n), f"n={n}"
 
 
 class TestSeriesCoefficients:
@@ -120,6 +136,15 @@ class TestGroupByCoefficient:
     def test_small_rejected(self):
         with pytest.raises(ValueError):
             group_by_coefficient(1)
+
+    @pytest.mark.parametrize("max_n", [2, 3, 4, 5, 48, 49, 50, 121])
+    def test_matches_grouping_by_factorized_radical(self, max_n):
+        by_radical: dict[int, list[int]] = {}
+        for n in range(2, max_n + 1):
+            by_radical.setdefault(radical(n), []).append(n)
+        assert [(g.radical, g.coefficient, g.members) for g in group_by_coefficient(max_n)] == [
+            (r, phi_over_n(r), tuple(members)) for r, members in sorted(by_radical.items())
+        ]
 
     def test_sorted_by_radical(self):
         radicals = [g.radical for g in group_by_coefficient(200)]

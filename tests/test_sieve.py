@@ -17,7 +17,9 @@ from totient_lab.sieve import BENCH_BRUTEFORCE_BOUND
 from reference_values import (
     CUMULATIVE_ERRATA,
     CUMULATIVE_PRINTED,
+    ROOT_EDGE_SIZES,
     TOTIENT_1_TO_100,
+    sampled_entries,
     small_primes,
     totient_by_gcd_count,
 )
@@ -91,6 +93,19 @@ class TestTotientSieve:
     @given(n=st.integers(1, 5000))
     def test_entries_match_core(self, table_5000, n):
         assert table_5000.phi(n) == totient(n, EULER)
+
+    @pytest.mark.parametrize("convention", [EULER, MODERN])
+    def test_matches_closed_form_around_prime_squares(self, convention):
+        closed_form = [totient(n, convention) for n in range(1, ROOT_EDGE_SIZES[-1] + 1)]
+        for max_n in ROOT_EDGE_SIZES:
+            values = totient_sieve(max_n, convention).json_values()
+            bad = [n for n in range(1, max_n + 1) if values[n - 1] != closed_form[n - 1]]
+            assert not bad, f"max_n={max_n}: first wrong entry n={bad[0]}"
+
+    def test_matches_closed_form_at_sampled_entries_of_1e7(self):
+        table = totient_sieve(10**7, MODERN)
+        for n in sampled_entries(10**7, seed=20071):
+            assert table.phi(n) == totient(n, MODERN), f"n={n}"
 
 
 def weighted_sum(values) -> int:

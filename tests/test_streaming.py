@@ -1,6 +1,7 @@
-"""The streamed output of `farey` and `table`, checked in child processes:
-peak memory stays flat as the output grows, and a reader that stops early
-is not an error."""
+"""The streamed output of `farey` and `table`, and the memory of `count`,
+checked in child processes: peak memory stays flat as the output grows,
+grows by a fixed number of bytes per table entry, and a reader that stops
+early is not an error."""
 
 import os
 import subprocess
@@ -54,6 +55,15 @@ class TestFlatMemory:
         large = peak_rss_bytes("table", str(large_n), "--format", "csv")
         per_entry = (large - small) / (large_n - small_n)
         assert per_entry <= 32, f"peak RSS {small} -> {large} bytes, {per_entry:.1f} per entry"
+
+    def test_count_exclusion_peak_rss_per_entry(self):
+        # the totient table holds 8 bytes per entry and the exclusion terms
+        # 8 per entry of its half
+        small_d, large_d = 500_000, 2_000_000
+        small = peak_rss_bytes("count", str(small_d), "--method", "exclusion")
+        large = peak_rss_bytes("count", str(large_d), "--method", "exclusion")
+        per_entry = (large - small) / (large_d - small_d)
+        assert per_entry <= 16, f"peak RSS {small} -> {large} bytes, {per_entry:.1f} per entry"
 
 
 @pytest.mark.parametrize("args", [
