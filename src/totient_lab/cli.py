@@ -15,7 +15,6 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 from itertools import islice, starmap
 from typing import Iterable, Iterator
 
@@ -32,11 +31,7 @@ from .farey import (
     count_by_totient_sum,
     iter_farey_pairs,
 )
-from .series import (
-    group_by_coefficient,
-    integrated_series_coefficients,
-    series_coefficients,
-)
+from .series import _coefficient_groups, _coefficient_rows
 from .sieve import bench_totient_methods, totient_sieve
 
 _DECIMAL_RE = re.compile(r"[0-9]+")
@@ -104,24 +99,27 @@ def _emit(text: str) -> None:
     click.echo(text, nl=False)
 
 
-def _write_rows(head: str, row: str, rows: Iterable[tuple], tail: str,
-                sep: str = "\n") -> int:
-    """Write head, the rows rendered by row.format(*r) and joined by sep,
-    then tail; return the number of rows written.
+def _write_rows(layout: tuple[str, str, str, str], rows: Iterable[Iterable],
+                **fields) -> int:
+    """Write a layout (head, row template, separator, tail): the head, the
+    rows rendered by row.format(*r) and joined by the separator, then the
+    tail; return the number of rows written.  Head and tail are templates
+    filled from fields.
 
     Rows are rendered and written ROWS_PER_CHUNK at a time, so memory stays
     flat however many there are.  A reader that closes the pipe early ends
     the command with exit code 0 and nothing on stderr, as it did when the
     whole output went out in one write.
     """
+    head, row, sep, tail = layout
     rows = iter(rows)  # islice must resume where the last chunk ended
     written = 0
     try:
-        _emit(head)
+        _emit(head.format(**fields))
         while chunk := list(starmap(row.format, islice(rows, ROWS_PER_CHUNK))):
             _emit((sep if written else "") + sep.join(chunk))
             written += len(chunk)
-        _emit(tail)
+        _emit(tail.format(**fields))
     except BrokenPipeError:
         # Later flushes, at exit included, go to /dev/null instead of failing.
         devnull = os.open(os.devnull, os.O_WRONLY)
@@ -131,20 +129,56 @@ def _write_rows(head: str, row: str, rows: Iterable[tuple], tail: str,
     return written
 
 
+#: Plain lines, one row each.
+_LINES = ("", "{}", "\n", "\n")
+
+#: One record of (name, value) rows: "name: value" lines, a csv header of
+#: the names over one line of values, or the object json.dumps(indent=2)
+#: writes.
+_RECORD_LAYOUTS = {
+    "plain": ("", "{}: {}", "\n", "\n"),
+    "csv": ("{names}\n", "{1}", ",", "\n"),
+    "json": ("{{\n", '  "{}": {}', ",\n", "\n}}\n"),
+}
+
+
+def _csv_value(value) -> str:
+    """One csv field: empty when missing, true/false as json writes them,
+    seconds to the microsecond."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return json.dumps(value)
+    if isinstance(value, float):
+        return f"{value:.6f}"
+    return str(value)
+
+
+#: How each record layout writes a value; json indents a nested value to
+#: its depth in the object.
+_RECORD_VALUES = {
+    "plain": str,
+    "csv": _csv_value,
+    "json": lambda value: json.dumps(value, indent=2).replace("\n", "\n  "),
+}
+
+
+def _write_record(fmt: str, fields: dict) -> None:
+    """Write fields in the format's record layout; plain leaves out the
+    missing ones."""
+    if fmt == "plain":
+        fields = {name: value for name, value in fields.items() if value is not None}
+    value = _RECORD_VALUES[fmt]
+    _write_rows(_RECORD_LAYOUTS[fmt], [(name, value(v)) for name, v in fields.items()],
+                names=",".join(fields))
+
+
 def _numbered(values) -> Iterator[tuple[int, int]]:
     """(n, values[n - 1]) for n = 1, 2, ..., converting ROWS_PER_CHUNK
     numpy values to ints at a time."""
     for start in range(0, len(values), ROWS_PER_CHUNK):
         block = values[start:start + ROWS_PER_CHUNK].tolist()
         yield from zip(range(start + 1, start + 1 + len(block)), block)
-
-
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def _fraction_str(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
 
 
 @click.group()
@@ -168,28 +202,26 @@ def cmd_totient(n: int, convention: str, fmt: str, verbose: bool) -> None:
     else:
         value = totient_from_factorization(factorization, conv)
     if fmt == "csv":
-        _emit(f"n,phi\n{n},{value}\n")
-        return
-    if fmt == "json":
-        payload: dict = {"n": n, "convention": conv.value, "phi": value}
+        _write_record(fmt, {"n": n, "phi": value})
+    elif fmt == "json":
+        fields = {"n": n, "convention": conv.value, "phi": value}
         if factorization is not None:
-            payload["factorization"] = [list(pair) for pair in factorization.factors]
-            payload["distinct_primes"] = list(factorization.distinct_primes)
-        _emit(_json_text(payload))
-        return
-    if not verbose:
-        _emit(f"{value}\n")
-        return
-    primes = factorization.distinct_primes
-    lines = [
-        f"phi({n}) = {value}",
-        f"factorization: {factorization}",
-        f"distinct primes: {', '.join(str(p) for p in primes) if primes else '(none)'}",
-    ]
-    if primes:
-        product = " * ".join(f"{p - 1}/{p}" for p in primes)
-        lines.append(f"product: {n} * {product} = {value}")
-    _emit("\n".join(lines) + "\n")
+            fields["factorization"] = factorization.factors
+            fields["distinct_primes"] = factorization.distinct_primes
+        _write_record(fmt, fields)
+    elif factorization is None:
+        _write_rows(_LINES, [(value,)])
+    else:
+        primes = factorization.distinct_primes
+        lines = [
+            f"phi({n}) = {value}",
+            f"factorization: {factorization}",
+            f"distinct primes: {', '.join(map(str, primes)) if primes else '(none)'}",
+        ]
+        if primes:
+            product = " * ".join(f"{p - 1}/{p}" for p in primes)
+            lines.append(f"product: {n} * {product} = {value}")
+        _write_rows(_LINES, [(line,) for line in lines])
 
 
 #: Per format: head, row template for (n, phi), row separator, tail.  The
@@ -209,19 +241,7 @@ _TABLE_LAYOUTS = {
 def cmd_table(max_n: int, convention: str, fmt: str) -> None:
     """Totient values for every n in 1..MAX_N."""
     table = totient_sieve(max_n, Convention(convention))
-    head, row, sep, tail = _TABLE_LAYOUTS[fmt]
-    _write_rows(head, row, _numbered(table.values), tail, sep)
-
-
-def _report_payload(report: FareyCountReport) -> dict:
-    return {
-        "max_denominator": report.max_denominator,
-        "total_unreduced": report.total_unreduced,
-        "excluded": report.excluded,
-        "count_by_exclusion": report.count_by_exclusion,
-        "count_by_totient_sum": report.count_by_totient_sum,
-        "count_by_enumeration": report.count_by_enumeration,
-    }
+    _write_rows(_TABLE_LAYOUTS[fmt], _numbered(table.values))
 
 
 @main.command("count")
@@ -236,55 +256,37 @@ def cmd_count(max_denominator: int, method: str, fmt: str) -> None:
     d = max_denominator
     if method in ("sum", "enumerate"):
         count = count_by_totient_sum(d) if method == "sum" else count_by_enumeration(d)
-        if fmt == "csv":
-            _emit(f"max_denominator,method,count\n{d},{method},{count}\n")
-        elif fmt == "json":
-            _emit(_json_text({"max_denominator": d, "method": method, "count": count}))
+        if fmt == "plain":
+            _write_rows(_LINES, [(count,)])
         else:
-            _emit(f"{count}\n")
+            _write_record(fmt, {"max_denominator": d, "method": method, "count": count})
         return
 
     report = count_by_exclusion(d)
-    enumeration_note = None
-    if method == "all":
-        if d <= ENUMERATION_BOUND:
-            report = dataclasses.replace(
-                report, count_by_enumeration=count_by_enumeration(d)
-            )
-        else:
-            enumeration_note = f"skipped (D exceeds {ENUMERATION_BOUND})"
-
-    if fmt == "json":
-        _emit(_json_text(_report_payload(report)))
-    elif fmt == "csv":
-        enum_field = "" if report.count_by_enumeration is None else str(report.count_by_enumeration)
-        _emit(
-            "max_denominator,total_unreduced,excluded,"
-            "count_by_exclusion,count_by_totient_sum,count_by_enumeration\n"
-            f"{report.max_denominator},{report.total_unreduced},{report.excluded},"
-            f"{report.count_by_exclusion},{report.count_by_totient_sum},{enum_field}\n"
-        )
-    else:
-        lines = [
-            f"max_denominator: {report.max_denominator}",
-            f"total_unreduced: {report.total_unreduced}",
-            f"excluded: {report.excluded}",
-            f"count_by_exclusion: {report.count_by_exclusion}",
-            f"count_by_totient_sum: {report.count_by_totient_sum}",
-        ]
-        if report.count_by_enumeration is not None:
-            lines.append(f"count_by_enumeration: {report.count_by_enumeration}")
-        elif enumeration_note is not None:
-            lines.append(f"count_by_enumeration: {enumeration_note}")
-        _emit("\n".join(lines) + "\n")
+    if method == "all" and d <= ENUMERATION_BOUND:
+        report = dataclasses.replace(report, count_by_enumeration=count_by_enumeration(d))
+    fields = dataclasses.asdict(report)
+    if method == "all" and d > ENUMERATION_BOUND and fmt == "plain":
+        fields["count_by_enumeration"] = f"skipped (D exceeds {ENUMERATION_BOUND})"
+    _write_record(fmt, fields)
 
     broken = report.first_broken_identity()
     if broken is not None:
         raise CrossCheckError(f"counting routes disagree: {broken} at D={d}")
 
 
-#: One fraction of `farey --format json`, as json.dumps(indent=2) lays it out.
-_FAREY_JSON_ROW = '    {{\n      "numerator": {},\n      "denominator": {}\n    }}'
+#: Per format: head, row template for (numerator, denominator), row
+#: separator, tail.  plain and json print the count of fractions.
+_FAREY_LAYOUTS = {
+    "plain": ("", "{}/{}", "\n", "\ncount: {count}\n"),
+    "csv": ("numerator,denominator\n", "{},{}", "\n", "\n"),
+    "json": (
+        '{{\n  "max_denominator": {d},\n  "count": {count},\n  "fractions": [\n',
+        '    {{\n      "numerator": {},\n      "denominator": {}\n    }}',
+        ",\n",
+        "\n  ]\n}}\n",
+    ),
+}
 
 
 @main.command("farey")
@@ -300,22 +302,47 @@ def cmd_farey(max_denominator: int, fmt: str) -> None:
             f"D={d} exceeds the sequence bound {FAREY_MATERIALIZE_BOUND}"
         )
     pairs = iter_farey_pairs(d)  # refuses a bad D before anything is written
-    if fmt == "csv":
-        _write_rows("numerator,denominator\n", "{},{}", pairs, "\n")
-        return
-    # plain and json print the count, taken from the totient sum and then
-    # checked against the walk
-    count = count_by_totient_sum(d)
-    if fmt == "json":
-        head = f'{{\n  "max_denominator": {d},\n  "count": {count},\n  "fractions": [\n'
-        written = _write_rows(head, _FAREY_JSON_ROW, pairs, "\n  ]\n}\n", sep=",\n")
-    else:
-        written = _write_rows("", "{}/{}", pairs, f"\ncount: {count}\n")
-    if written != count:
+    # plain and json take the count from the totient sum, then check it
+    # against the walk; csv builds no sieve
+    count = None if fmt == "csv" else count_by_totient_sum(d)
+    written = _write_rows(_FAREY_LAYOUTS[fmt], pairs, d=d, count=count)
+    if count is not None and written != count:
         raise CrossCheckError(
             f"farey walk wrote {written} fractions at D={d}, "
             f"count_by_totient_sum gives {count}"
         )
+
+
+#: Per format: head, row template for (n, phi, num, den), row separator,
+#: tail.  The json layout is that of json.dumps(list, indent=2).
+_SERIES_LAYOUTS = {
+    "plain": ("", "{} {} {}/{}", "\n", "\n"),
+    "csv": ("n,phi,phi_over_n\n", "{},{},{}/{}", "\n", "\n"),
+    "json": (
+        "[\n",
+        '  {{\n    "n": {},\n    "phi": {},\n'
+        '    "coefficient": {{\n      "num": {},\n      "den": {}\n    }}\n  }}',
+        ",\n",
+        "\n]\n",
+    ),
+}
+
+#: Per format: head, row template for (radical, num, den, members), row
+#: separator, tail, and the template of (radical, num, den) that joins a
+#: group's members.  csv writes one line per member.
+_GROUPED_LAYOUTS = {
+    "plain": ("", "radical {}: coefficient {}/{}, members {}", "\n", "\n", " "),
+    "csv": ("radical,coefficient,member\n", "{},{}/{},{}", "\n", "\n", "\n{},{}/{},"),
+    "json": (
+        "[\n",
+        '  {{\n    "radical": {},\n'
+        '    "coefficient": {{\n      "num": {},\n      "den": {}\n    }},\n'
+        '    "members": [\n      {}\n    ]\n  }}',
+        ",\n",
+        "\n]\n",
+        ",\n      ",
+    ),
+}
 
 
 @main.command("series")
@@ -327,59 +354,18 @@ def cmd_farey(max_denominator: int, fmt: str) -> None:
 def cmd_series(max_n: int, grouped: bool, fmt: str) -> None:
     """Series coefficients: totient(n) and the reduced rational totient(n)/n
     for n = 2..MAX_N."""
-    if grouped:
-        groups = group_by_coefficient(max_n)
-        if fmt == "json":
-            payload = [
-                {
-                    "radical": g.radical,
-                    "coefficient": {
-                        "num": g.coefficient.numerator,
-                        "den": g.coefficient.denominator,
-                    },
-                    "members": list(g.members),
-                }
-                for g in groups
-            ]
-            _emit(_json_text(payload))
-        elif fmt == "csv":
-            rows = [
-                f"{g.radical},{_fraction_str(g.coefficient)},{m}"
-                for g in groups
-                for m in g.members
-            ]
-            _emit("radical,coefficient,member\n" + "\n".join(rows) + "\n")
-        else:
-            _emit("".join(
-                f"radical {g.radical}: coefficient {_fraction_str(g.coefficient)}, "
-                f"members {' '.join(str(m) for m in g.members)}\n"
-                for g in groups
-            ))
+    if not grouped:
+        _write_rows(_SERIES_LAYOUTS[fmt], _coefficient_rows(max_n))
         return
+    *layout, joiner = _GROUPED_LAYOUTS[fmt]
+    _write_rows(layout, (
+        (r, num, den, joiner.format(r, num, den).join(map(str, members)))
+        for r, num, den, members in _coefficient_groups(max_n)
+    ))
 
-    values = series_coefficients(max_n)
-    coefficients = integrated_series_coefficients(max_n)
-    rows = [
-        (n, values[n - 1], coeff) for n, coeff in enumerate(coefficients, start=2)
-    ]
-    if fmt == "json":
-        payload = [
-            {
-                "n": n,
-                "phi": phi,
-                "coefficient": {"num": coeff.numerator, "den": coeff.denominator},
-            }
-            for n, phi, coeff in rows
-        ]
-        _emit(_json_text(payload))
-    elif fmt == "csv":
-        _emit(
-            "n,phi,phi_over_n\n"
-            + "\n".join(f"{n},{phi},{_fraction_str(c)}" for n, phi, c in rows)
-            + "\n"
-        )
-    else:
-        _emit("".join(f"{n} {phi} {_fraction_str(c)}\n" for n, phi, c in rows))
+
+#: bench's csv layout, for the fields of each MethodResult.
+_BENCH_CSV = ("method,executed,seconds,checksum,skip_reason\n", "{},{},{},{},{}", "\n", "\n")
 
 
 @main.command("bench")
@@ -389,45 +375,22 @@ def cmd_series(max_n: int, grouped: bool, fmt: str) -> None:
 def cmd_bench(max_n: int, fmt: str) -> None:
     """Time the totient routes over 1..MAX_N and cross-check their checksums."""
     report = bench_totient_methods(max_n)
+    agree = report.checksums_agree()
+    results = [dataclasses.asdict(r) for r in report.results]
     if fmt == "json":
-        payload = {
-            "max_n": report.max_n,
-            "results": [
-                {
-                    "method": r.method,
-                    "executed": r.executed,
-                    "seconds": r.seconds,
-                    "checksum": r.checksum,
-                    "skip_reason": r.skip_reason,
-                }
-                for r in report.results
-            ],
-            "checksums_agree": report.checksums_agree(),
-        }
-        _emit(_json_text(payload))
+        _write_record(fmt, {"max_n": report.max_n, "results": results, "checksums_agree": agree})
     elif fmt == "csv":
-        rows = []
-        for r in report.results:
-            seconds = "" if r.seconds is None else f"{r.seconds:.6f}"
-            checksum = "" if r.checksum is None else str(r.checksum)
-            reason = r.skip_reason or ""
-            rows.append(
-                f"{r.method},{str(r.executed).lower()},{seconds},{checksum},{reason}"
-            )
-        _emit("method,executed,seconds,checksum,skip_reason\n" + "\n".join(rows) + "\n")
+        _write_rows(_BENCH_CSV, [map(_csv_value, r.values()) for r in results])
     else:
-        lines = []
-        for r in report.results:
-            if r.executed:
-                lines.append(f"{r.method}: {r.seconds:.6f} s, checksum {r.checksum}")
-            else:
-                lines.append(f"{r.method}: skipped ({r.skip_reason})")
-        lines.append(
-            "checksums agree: " + ("yes" if report.checksums_agree() else "NO")
-        )
-        _emit("\n".join(lines) + "\n")
+        lines = [
+            f"{r.method}: {r.seconds:.6f} s, checksum {r.checksum}" if r.executed
+            else f"{r.method}: skipped ({r.skip_reason})"
+            for r in report.results
+        ]
+        lines.append("checksums agree: " + ("yes" if agree else "NO"))
+        _write_rows(_LINES, [(line,) for line in lines])
 
-    if not report.checksums_agree():
+    if not agree:
         raise CrossCheckError(
             f"method checksums disagree at max_n={max_n}: "
             + ", ".join(

@@ -97,10 +97,6 @@ class TotientTable:
         n = np.arange(1, self.max_n + 1, dtype=np.uint64)
         return int(np.dot(n, self.values))
 
-    def json_values(self) -> list[int]:
-        """The table as a plain list, index i holding the value for n=i+1."""
-        return self.values.tolist()
-
 
 def totient_sieve(
     max_n: int, convention: Convention = Convention.MODERN
@@ -215,12 +211,16 @@ def bench_totient_methods(max_n: int) -> BenchReport:
     """Time the three totient routes over 1..max_n (EULER convention).
 
     Methods whose documented bound is exceeded are skipped and marked,
-    never run.  Checksums (sum of n * totient(n) mod 2**64) of every
+    never run; a max_n above every bound, where nothing would run, is
+    refused.  Checksums (sum of n * totient(n) mod 2**64) of every
     executed method must agree; the report exposes that check but does not
     raise, so callers decide how to surface a mismatch.
     """
     if max_n < 1:
         raise ValueError(f"max_n must be a positive integer, got {max_n}")
+    largest = max(bound for _, bound, _, _ in _BENCH_METHODS)
+    if max_n > largest:
+        raise ValueError(f"max_n={max_n} exceeds every method's bound, the largest {largest}")
     results: list[MethodResult] = []
     for method, bound, bound_name, route in _BENCH_METHODS:
         if max_n > bound:

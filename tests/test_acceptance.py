@@ -261,7 +261,7 @@ def test_performance_sieve_1e7_with_sample_crosscheck():
 def test_cli_outputs_reparse_to_library_values():
     with criterion("csv and json outputs re-parse to the in-memory results (spot: table, count, farey)"):
         table_values = json.loads(_cli(["table", "1000", "--format", "json"]))
-        assert table_values == totient_sieve(1000, MODERN).json_values()
+        assert table_values == totient_sieve(1000, MODERN).values.tolist()
         payload = json.loads(_cli(["count", "1000", "--method", "all", "--format", "json"]))
         report = count_by_exclusion(1000)
         assert payload["count_by_exclusion"] == report.count_by_exclusion

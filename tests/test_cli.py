@@ -1,24 +1,34 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 import totient_lab.cli as cli
+import totient_lab.series as series
 from totient_lab import (
+    ENUMERATION_BOUND,
     BenchReport,
     Convention,
     MethodResult,
     bench_totient_methods,
+    count_by_enumeration,
     count_by_exclusion,
+    count_by_totient_sum,
+    factorize,
     farey_sequence,
     group_by_coefficient,
     integrated_series_coefficients,
+    phi_over_n,
+    radical,
+    totient,
     totient_sieve,
 )
 from reference_values import CUMULATIVE_PRINTED, TOTIENT_1_TO_100
 
 GOLDEN = Path(__file__).parent / "golden"
+EULER = Convention.EULER
 
 
 @pytest.fixture()
@@ -30,6 +40,19 @@ def run_ok(runner, args):
     result = runner.invoke(cli.main, args)
     assert result.exit_code == 0, result.output + result.stderr
     return result.stdout
+
+
+def assert_same_text(got: str, expected: str) -> None:
+    """got == expected, naming the first line that differs rather than
+    diffing megabytes of output."""
+    if got == expected:
+        return
+    got_lines, expected_lines = got.split("\n"), expected.split("\n")
+    first = next((i for i, (a, b) in enumerate(zip(got_lines, expected_lines)) if a != b),
+                 min(len(got_lines), len(expected_lines)))
+    pytest.fail(f"line {first + 1}: {got_lines[first:first + 1]} != "
+                f"{expected_lines[first:first + 1]} ({len(got_lines)} lines, "
+                f"expected {len(expected_lines)})")
 
 
 class TestGoldenFiles:
@@ -114,18 +137,18 @@ class TestTableCommand:
         lines = out.splitlines()
         assert lines[0] == "n,phi"
         parsed = [int(line.split(",")[1]) for line in lines[1:]]
-        assert parsed == totient_sieve(50, Convention.MODERN).json_values()
+        assert parsed == totient_sieve(50, Convention.MODERN).values.tolist()
 
     def test_json_roundtrip(self, runner):
         out = run_ok(runner, ["table", "64", "--convention", "euler", "--format", "json"])
-        assert json.loads(out) == totient_sieve(64, Convention.EULER).json_values()
+        assert json.loads(out) == totient_sieve(64, Convention.EULER).values.tolist()
 
     @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
     def test_matches_text_rebuilt_from_table_values(self, runner, fmt):
         # 70,000 rows cross a chunk boundary of the streaming writer
         n_max = 70_000
         assert n_max > cli.ROWS_PER_CHUNK
-        values = totient_sieve(n_max, Convention.MODERN).json_values()
+        values = totient_sieve(n_max, Convention.MODERN).values.tolist()
         expected = {
             "plain": "".join(f"{n} {v}\n" for n, v in enumerate(values, start=1)),
             "csv": "n,phi\n" + "".join(f"{n},{v}\n" for n, v in enumerate(values, start=1)),
@@ -310,6 +333,142 @@ class TestSeriesCommand:
     def test_domain_error(self, runner):
         assert runner.invoke(cli.main, ["series", "1"]).exit_code == 2
 
+    @pytest.mark.parametrize("args", [
+        ["series", "0"],
+        ["series", "1", "--format", "csv"],
+        ["series", "1", "--format", "json"],
+        ["series", "1", "--grouped", "--format", "json"],
+        ["series", "100000001", "--grouped", "--format", "csv"],
+    ])
+    def test_bad_max_n_refused_before_output(self, runner, args):
+        result = runner.invoke(cli.main, args)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize("args", [["series", "100"], ["series", "100", "--grouped"]])
+    def test_one_sieve_per_request(self, runner, monkeypatch, args):
+        calls = []
+
+        def counted(*a, **kw):
+            calls.append(a)
+            return totient_sieve(*a, **kw)
+
+        monkeypatch.setattr(series, "totient_sieve", counted)
+        run_ok(runner, args)
+        assert len(calls) == 1, calls
+
+
+@pytest.fixture(scope="module")
+def scalar_series_70000():
+    """(n, phi, coefficient) for n = 2..70000 by trial-division totients:
+    69,999 rows cross a chunk boundary of the sieve's reduction and of the
+    writer."""
+    rows = [(n, totient(n, EULER), Fraction(totient(n, EULER), n)) for n in range(2, 70_001)]
+    assert len(rows) > cli.ROWS_PER_CHUNK
+    return rows
+
+
+@pytest.fixture(scope="module")
+def radical_groups_110000():
+    """(radical, coefficient, members) for 2..110000, grouped in a dict by
+    trial-division radicals: 66,879 groups cross a chunk of groups."""
+    by_radical: dict[int, list[int]] = {}
+    for n in range(2, 110_001):
+        by_radical.setdefault(radical(n), []).append(n)
+    groups = [(r, phi_over_n(r), members) for r, members in sorted(by_radical.items())]
+    assert len(groups) == 66_879 > cli.ROWS_PER_CHUNK
+    return groups
+
+
+class TestSeriesBytes:
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    def test_matches_text_rebuilt_from_scalar_totients(self, runner, scalar_series_70000, fmt):
+        rows = scalar_series_70000
+        expected = {
+            "plain": "".join(f"{n} {phi} {c}\n" for n, phi, c in rows),
+            "csv": "n,phi,phi_over_n\n" + "".join(f"{n},{phi},{c}\n" for n, phi, c in rows),
+            "json": json.dumps([
+                {"n": n, "phi": phi, "coefficient": {"num": c.numerator, "den": c.denominator}}
+                for n, phi, c in rows
+            ], indent=2) + "\n",
+        }[fmt]
+        assert_same_text(run_ok(runner, ["series", "70000", "--format", fmt]), expected)
+
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    def test_grouped_matches_text_rebuilt_from_radical_dict(self, runner, radical_groups_110000, fmt):
+        groups = radical_groups_110000
+        expected = {
+            "plain": "".join(
+                f"radical {r}: coefficient {c}, members {' '.join(map(str, ms))}\n"
+                for r, c, ms in groups
+            ),
+            "csv": "radical,coefficient,member\n"
+                   + "".join(f"{r},{c},{m}\n" for r, c, ms in groups for m in ms),
+            "json": json.dumps([
+                {"radical": r, "coefficient": {"num": c.numerator, "den": c.denominator},
+                 "members": ms}
+                for r, c, ms in groups
+            ], indent=2) + "\n",
+        }[fmt]
+        assert_same_text(run_ok(runner, ["series", "110000", "--grouped", "--format", fmt]), expected)
+
+
+class TestJsonBytes:
+    """json output equals json.dumps(payload, indent=2) plus a newline, for a
+    payload built here from the library's results."""
+
+    @pytest.mark.parametrize("d,method", [
+        (2, "exclusion"), (30, "all"), (10001, "all"), (100, "sum"), (20, "enumerate"),
+    ])
+    def test_count(self, runner, d, method):
+        if method == "sum":
+            payload = {"max_denominator": d, "method": method, "count": count_by_totient_sum(d)}
+        elif method == "enumerate":
+            payload = {"max_denominator": d, "method": method, "count": count_by_enumeration(d)}
+        else:
+            report = count_by_exclusion(d)
+            enumerated = method == "all" and d <= ENUMERATION_BOUND
+            payload = {
+                "max_denominator": report.max_denominator,
+                "total_unreduced": report.total_unreduced,
+                "excluded": report.excluded,
+                "count_by_exclusion": report.count_by_exclusion,
+                "count_by_totient_sum": report.count_by_totient_sum,
+                "count_by_enumeration": count_by_enumeration(d) if enumerated else None,
+            }
+        out = run_ok(runner, ["count", str(d), "--method", method, "--format", "json"])
+        assert out == json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.parametrize("n,convention,verbose", [
+        (9450, "euler", True), (1, "modern", True), (1, "euler", False), (360, "modern", False),
+    ])
+    def test_totient(self, runner, n, convention, verbose):
+        payload = {"n": n, "convention": convention, "phi": totient(n, Convention(convention))}
+        if verbose:
+            factors = factorize(n).factors
+            payload["factorization"] = [[p, e] for p, e in factors]
+            payload["distinct_primes"] = [p for p, _ in factors]
+        args = ["totient", str(n), "--convention", convention, "--format", "json"]
+        out = run_ok(runner, args + ["--verbose"] * verbose)
+        assert out == json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.parametrize("max_n", [100, 20_000])
+    def test_bench(self, runner, monkeypatch, max_n):
+        # one report, timings included, feeds both the CLI and the payload
+        report = bench_totient_methods(max_n)
+        monkeypatch.setattr(cli, "bench_totient_methods", lambda n: report)
+        payload = {
+            "max_n": max_n,
+            "results": [
+                {"method": r.method, "executed": r.executed, "seconds": r.seconds,
+                 "checksum": r.checksum, "skip_reason": r.skip_reason}
+                for r in report.results
+            ],
+            "checksums_agree": True,
+        }
+        out = run_ok(runner, ["bench", str(max_n), "--format", "json"])
+        assert out == json.dumps(payload, indent=2) + "\n"
+
 
 class TestBenchCommand:
     def test_small_run_agrees(self, runner):
@@ -333,6 +492,13 @@ class TestBenchCommand:
     def test_skip_marked(self, runner):
         out = run_ok(runner, ["bench", "20000"])
         assert "bruteforce-oracle: skipped" in out
+
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    def test_above_every_bound_refused_before_output(self, runner, fmt):
+        result = runner.invoke(cli.main, ["bench", "100000001", "--format", fmt])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "every method's bound" in result.stderr
 
     def test_checksum_mismatch_exits_3(self, runner, monkeypatch):
         fake = BenchReport(

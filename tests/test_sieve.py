@@ -35,10 +35,10 @@ def table_5000():
 
 class TestTotientSieve:
     def test_reference_table_to_100(self):
-        assert totient_sieve(100, EULER).json_values() == TOTIENT_1_TO_100
+        assert totient_sieve(100, EULER).values.tolist() == TOTIENT_1_TO_100
 
     def test_progression_to_12(self):
-        assert totient_sieve(12, EULER).json_values() == [0, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
+        assert totient_sieve(12, EULER).values.tolist() == [0, 1, 2, 2, 4, 2, 6, 4, 6, 4, 10, 4]
 
     def test_spot_values(self):
         table = totient_sieve(100, EULER)
@@ -46,8 +46,8 @@ class TestTotientSieve:
         assert table.phi(100) == 40
 
     def test_single_entry_by_convention(self):
-        assert totient_sieve(1, MODERN).json_values() == [1]
-        assert totient_sieve(1, EULER).json_values() == [0]
+        assert totient_sieve(1, MODERN).values.tolist() == [1]
+        assert totient_sieve(1, EULER).values.tolist() == [0]
 
     def test_prime_entries(self):
         table = totient_sieve(2000, MODERN)
@@ -55,7 +55,7 @@ class TestTotientSieve:
             assert table.phi(p) == p - 1
 
     def test_matches_closed_form_to_1e5(self):
-        values = totient_sieve(10**5, EULER).json_values()
+        values = totient_sieve(10**5, EULER).values.tolist()
         for n in range(1, 10**5 + 1):
             assert values[n - 1] == totient(n, EULER)
 
@@ -98,7 +98,7 @@ class TestTotientSieve:
     def test_matches_closed_form_around_prime_squares(self, convention):
         closed_form = [totient(n, convention) for n in range(1, ROOT_EDGE_SIZES[-1] + 1)]
         for max_n in ROOT_EDGE_SIZES:
-            values = totient_sieve(max_n, convention).json_values()
+            values = totient_sieve(max_n, convention).values.tolist()
             bad = [n for n in range(1, max_n + 1) if values[n - 1] != closed_form[n - 1]]
             assert not bad, f"max_n={max_n}: first wrong entry n={bad[0]}"
 
@@ -114,13 +114,6 @@ def weighted_sum(values) -> int:
 
 
 class TestTableExport:
-    def test_json_values_roundtrip(self):
-        table = totient_sieve(40, MODERN)
-        values = table.json_values()
-        assert isinstance(values, list)
-        assert all(isinstance(v, int) for v in values)
-        assert values == [table.phi(n) for n in range(1, 41)]
-
     def test_checksum_mod_2_64(self):
         assert totient_sieve(100, EULER).checksum() == weighted_sum(TOTIENT_1_TO_100)
         # values near 2**64 make the uint64 products and sum wrap
@@ -222,6 +215,11 @@ class TestBench:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             bench_totient_methods(0)
+
+    def test_above_every_bound_rejected(self):
+        # every method would be skipped, so no checksums could agree
+        with pytest.raises(ValueError, match="every method's bound"):
+            bench_totient_methods(SIEVE_LIMIT + 1)
 
     def test_checksum_value(self):
         report = bench_totient_methods(100)

@@ -1,7 +1,7 @@
-"""The streamed output of `farey` and `table`, and the memory of `count`,
-checked in child processes: peak memory stays flat as the output grows,
-grows by a fixed number of bytes per table entry, and a reader that stops
-early is not an error."""
+"""The streamed output of `farey`, `table` and `series`, and the memory of
+`count`, checked in child processes: peak memory stays flat as the output
+grows, grows by a fixed number of bytes per table entry, and a reader that
+stops early is not an error."""
 
 import os
 import subprocess
@@ -40,6 +40,15 @@ def peak_rss_bytes(*args: str) -> int:
     return maxrss_kib * 1024
 
 
+def peak_rss_per_entry(command: str, *options: str) -> float:
+    """Growth of peak RSS per entry of `command N options` from N = 5*10**5
+    to 2*10**6."""
+    small_n, large_n = 500_000, 2_000_000
+    small = peak_rss_bytes(command, str(small_n), *options)
+    large = peak_rss_bytes(command, str(large_n), *options)
+    return (large - small) / (large_n - small_n)
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB, Linux exec semantics")
 class TestFlatMemory:
     def test_farey_csv_peak_rss_flat_as_d_grows_4x(self):
@@ -50,26 +59,37 @@ class TestFlatMemory:
 
     def test_table_csv_peak_rss_per_entry(self):
         # the totient table itself holds 8 bytes per entry
-        small_n, large_n = 500_000, 2_000_000
-        small = peak_rss_bytes("table", str(small_n), "--format", "csv")
-        large = peak_rss_bytes("table", str(large_n), "--format", "csv")
-        per_entry = (large - small) / (large_n - small_n)
-        assert per_entry <= 32, f"peak RSS {small} -> {large} bytes, {per_entry:.1f} per entry"
+        per_entry = peak_rss_per_entry("table", "--format", "csv")
+        assert per_entry <= 32, f"{per_entry:.1f} bytes per entry"
 
     def test_count_exclusion_peak_rss_per_entry(self):
         # the totient table holds 8 bytes per entry and the exclusion terms
         # 8 per entry of its half
-        small_d, large_d = 500_000, 2_000_000
-        small = peak_rss_bytes("count", str(small_d), "--method", "exclusion")
-        large = peak_rss_bytes("count", str(large_d), "--method", "exclusion")
-        per_entry = (large - small) / (large_d - small_d)
-        assert per_entry <= 16, f"peak RSS {small} -> {large} bytes, {per_entry:.1f} per entry"
+        per_entry = peak_rss_per_entry("count", "--method", "exclusion")
+        assert per_entry <= 16, f"{per_entry:.1f} bytes per entry"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_series_peak_rss_per_entry(self, fmt):
+        # the totient table holds 8 bytes per entry; the coefficients are
+        # reduced and written a chunk at a time
+        per_entry = peak_rss_per_entry("series", "--format", fmt)
+        assert per_entry <= 32, f"{per_entry:.1f} bytes per entry"
+
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    def test_series_grouped_peak_rss_per_entry(self, fmt):
+        # the radical table and its stable argsort hold 8 bytes per entry
+        # each, the per-radical arrays about 15, and a chunk of groups holds
+        # more members as N grows
+        per_entry = peak_rss_per_entry("series", "--grouped", "--format", fmt)
+        assert per_entry <= 80, f"{per_entry:.1f} bytes per entry"
 
 
 @pytest.mark.parametrize("args", [
     ["farey", "2000", "--format", "csv"],
     ["farey", "2000", "--format", "json"],
     ["table", "2000000"],
+    ["series", "2000000"],
+    ["series", "300000", "--grouped", "--format", "json"],
 ])
 def test_reader_closing_early_exits_0_quietly(args):
     # the output is megabytes, far more than a pipe buffers, so the CLI is
