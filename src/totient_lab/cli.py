@@ -58,7 +58,10 @@ class DecimalInt(click.ParamType):
             return value
         if not _DECIMAL_RE.fullmatch(value):
             self.fail(f"{value!r} is not a plain decimal integer", param, ctx)
-        return int(value)
+        try:
+            return int(value)
+        except ValueError:  # past Python's limit on integer string conversion
+            self.fail(f"a {len(value)}-digit integer is too long to convert", param, ctx)
 
 
 DECIMAL = DecimalInt()
@@ -95,10 +98,6 @@ def _lib_errors(fn):
     return wrapper
 
 
-def _emit(text: str) -> None:
-    click.echo(text, nl=False)
-
-
 def _write_rows(layout: tuple[str, str, str, str], rows: Iterable[Iterable],
                 **fields) -> int:
     """Write a layout (head, row template, separator, tail): the head, the
@@ -107,19 +106,22 @@ def _write_rows(layout: tuple[str, str, str, str], rows: Iterable[Iterable],
     filled from fields.
 
     Rows are rendered and written ROWS_PER_CHUNK at a time, so memory stays
-    flat however many there are.  A reader that closes the pipe early ends
-    the command with exit code 0 and nothing on stderr, as it did when the
-    whole output went out in one write.
+    flat however many there are.  The head goes out with the first chunk,
+    so nothing is written before the first row: a producer that refuses
+    its input when that row is asked for leaves stdout empty.  A reader
+    that closes the pipe early ends the command with exit code 0 and
+    nothing on stderr, as it did when the whole output went out in one
+    write.
     """
     head, row, sep, tail = layout
     rows = iter(rows)  # islice must resume where the last chunk ended
+    before = head.format(**fields)  # what goes out ahead of the next chunk
     written = 0
     try:
-        _emit(head.format(**fields))
         while chunk := list(starmap(row.format, islice(rows, ROWS_PER_CHUNK))):
-            _emit((sep if written else "") + sep.join(chunk))
-            written += len(chunk)
-        _emit(tail.format(**fields))
+            click.echo(before + sep.join(chunk), nl=False)
+            before, written = sep, written + len(chunk)
+        click.echo(("" if written else before) + tail.format(**fields), nl=False)
     except BrokenPipeError:
         # Later flushes, at exit included, go to /dev/null instead of failing.
         devnull = os.open(os.devnull, os.O_WRONLY)
@@ -131,15 +133,6 @@ def _write_rows(layout: tuple[str, str, str, str], rows: Iterable[Iterable],
 
 #: Plain lines, one row each.
 _LINES = ("", "{}", "\n", "\n")
-
-#: One record of (name, value) rows: "name: value" lines, a csv header of
-#: the names over one line of values, or the object json.dumps(indent=2)
-#: writes.
-_RECORD_LAYOUTS = {
-    "plain": ("", "{}: {}", "\n", "\n"),
-    "csv": ("{names}\n", "{1}", ",", "\n"),
-    "json": ("{{\n", '  "{}": {}', ",\n", "\n}}\n"),
-}
 
 
 def _csv_value(value) -> str:
@@ -154,23 +147,17 @@ def _csv_value(value) -> str:
     return str(value)
 
 
-#: How each record layout writes a value; json indents a nested value to
-#: its depth in the object.
-_RECORD_VALUES = {
-    "plain": str,
-    "csv": _csv_value,
-    "json": lambda value: json.dumps(value, indent=2).replace("\n", "\n  "),
-}
-
-
 def _write_record(fmt: str, fields: dict) -> None:
-    """Write fields in the format's record layout; plain leaves out the
-    missing ones."""
-    if fmt == "plain":
-        fields = {name: value for name, value in fields.items() if value is not None}
-    value = _RECORD_VALUES[fmt]
-    _write_rows(_RECORD_LAYOUTS[fmt], [(name, value(v)) for name, v in fields.items()],
-                names=",".join(fields))
+    """Write fields as the object json.dumps(indent=2) writes, as a csv
+    header of the names over one line of values, or as "name: value" lines
+    that leave out the missing ones."""
+    if fmt == "json":
+        lines = [json.dumps(fields, indent=2)]
+    elif fmt == "csv":
+        lines = [",".join(fields), ",".join(map(_csv_value, fields.values()))]
+    else:
+        lines = [f"{name}: {value}" for name, value in fields.items() if value is not None]
+    _write_rows(_LINES, [(line,) for line in lines])
 
 
 def _numbered(values) -> Iterator[tuple[int, int]]:
@@ -191,12 +178,16 @@ def main() -> None:
 @click.argument("n", type=DECIMAL)
 @_convention_option
 @_format_option
-@click.option("--verbose", is_flag=True, help="Show the factorization and the product-formula derivation.")
+@click.option("--verbose", is_flag=True,
+              help="Show the factorization and the product-formula derivation "
+                   "(plain and json only).")
 @_lib_errors
 def cmd_totient(n: int, convention: str, fmt: str, verbose: bool) -> None:
     """Totient of N: how many positive integers below N are coprime to it."""
+    if verbose and fmt == "csv":
+        raise click.UsageError("--verbose applies to plain and json output only")
     conv = Convention(convention)
-    factorization = factorize(n) if verbose and fmt != "csv" else None
+    factorization = factorize(n) if verbose else None
     if factorization is None:
         value = totient(n, conv)
     else:

@@ -3,15 +3,16 @@ with denominator at most D, by three independent routes: totient summation,
 exclusion of reducible forms from the D(D-1)/2 total, and the definitional
 double-loop enumeration.
 
-All counting is exact integer arithmetic; fraction ordering uses
-cross-multiplication, never floating point.
+All counting is exact integer arithmetic.  The sequence's terms are
+fractions.Fraction, the type the series module returns too; they order by
+exact cross-multiplication, never floating point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import total_ordering
+from fractions import Fraction
 from itertools import starmap
 from typing import Iterator
 
@@ -39,32 +40,6 @@ def _check_denominator(max_denominator: int) -> None:
         raise ValueError(
             f"max denominator {max_denominator} exceeds the table limit {SIEVE_LIMIT}"
         )
-
-
-@total_ordering
-@dataclass(frozen=True, slots=True)
-class ReducedFraction:
-    """A rational in lowest terms with 0 < numerator < denominator."""
-
-    numerator: int
-    denominator: int
-
-    def __post_init__(self) -> None:
-        if not 0 < self.numerator < self.denominator:
-            raise ValueError(
-                f"{self.numerator}/{self.denominator} is not strictly between 0 and 1"
-            )
-        if math.gcd(self.numerator, self.denominator) != 1:
-            raise ValueError(
-                f"{self.numerator}/{self.denominator} is not in lowest terms"
-            )
-
-    def __lt__(self, other: "ReducedFraction") -> bool:
-        # exact cross-multiplication comparison
-        return self.numerator * other.denominator < other.numerator * self.denominator
-
-    def __str__(self) -> str:
-        return f"{self.numerator}/{self.denominator}"
 
 
 @dataclass(frozen=True)
@@ -186,12 +161,12 @@ def _neighbor_walk(D: int) -> Iterator[tuple[int, int]]:
         a, b, c, d = c, d, k * c - a, k * d - b
 
 
-def iter_farey_sequence(max_denominator: int) -> Iterator[ReducedFraction]:
-    """iter_farey_pairs as validated ReducedFraction objects."""
-    return starmap(ReducedFraction, iter_farey_pairs(max_denominator))
+def iter_farey_sequence(max_denominator: int) -> Iterator[Fraction]:
+    """iter_farey_pairs as fractions.Fraction values."""
+    return starmap(Fraction, iter_farey_pairs(max_denominator))
 
 
-def farey_sequence(max_denominator: int) -> list[ReducedFraction]:
+def farey_sequence(max_denominator: int) -> list[Fraction]:
     """Materialized iter_farey_sequence; length equals count_by_totient_sum(D)."""
     if max_denominator > FAREY_MATERIALIZE_BOUND:
         raise ValueError(

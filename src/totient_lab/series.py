@@ -66,19 +66,15 @@ def _reduced(phi: np.ndarray, n: np.ndarray) -> tuple[list[int], list[int]]:
 
 def _coefficient_rows(max_n: int) -> Iterator[tuple[int, int, int, int]]:
     """(n, totient(n), num, den) for n = 2..max_n, num/den being totient(n)/n
-    in lowest terms.  max_n is checked and the one sieve built before the
+    in lowest terms.  max_n is checked and the one sieve built when the
     first row is asked for; rows are then reduced _CHUNK at a time."""
     if max_n < 2:
         raise ValueError(f"series needs max_n >= 2, got {max_n}")
     phi = totient_sieve(max_n, Convention.EULER).values
-
-    def rows():
-        for start in range(2, max_n + 1, _CHUNK):
-            n = np.arange(start, min(start + _CHUNK, max_n + 1), dtype=np.uint64)
-            block = phi[start - 1:start - 1 + len(n)]
-            yield from zip(n.tolist(), block.tolist(), *_reduced(block, n))
-
-    return rows()
+    for start in range(2, max_n + 1, _CHUNK):
+        n = np.arange(start, min(start + _CHUNK, max_n + 1), dtype=np.uint64)
+        block = phi[start - 1:start - 1 + len(n)]
+        yield from zip(n.tolist(), block.tolist(), *_reduced(block, n))
 
 
 def integrated_series_coefficients(max_n: int) -> list[Fraction]:
@@ -114,7 +110,7 @@ def _coefficient_groups(max_n: int) -> Iterator[tuple[int, int, int, list[int]]]
     """(radical, num, den, members) for each group of 2..max_n with equal
     totient(n)/n = num/den in lowest terms, ascending by radical and each
     group's members ascending.  As in _coefficient_rows, the arrays are
-    built before the first group is asked for."""
+    built when the first group is asked for."""
     if max_n < 2:
         raise ValueError(f"grouping needs max_n >= 2, got {max_n}")
     if max_n > SIEVE_LIMIT:
@@ -130,18 +126,14 @@ def _coefficient_groups(max_n: int) -> Iterator[tuple[int, int, int, list[int]]]
     del rad
     # last, so that the sieve's build does not overlap the arrays deleted above
     phi = totient_sieve(max_n, Convention.EULER).values[radicals - 1]
-
-    def groups():
-        for first in range(0, len(radicals), _CHUNK):
-            r = radicals[first:first + _CHUNK].astype(np.uint64)
-            nums, dens = _reduced(phi[first:first + len(r)], r)
-            edges = bounds[first:first + len(r) + 1]
-            members = (order[edges[0]:edges[-1]] + 2).tolist()
-            edges = (edges - edges[0]).tolist()
-            for radical, num, den, a, b in zip(r.tolist(), nums, dens, edges, edges[1:]):
-                yield radical, num, den, members[a:b]
-
-    return groups()
+    for first in range(0, len(radicals), _CHUNK):
+        r = radicals[first:first + _CHUNK].astype(np.uint64)
+        nums, dens = _reduced(phi[first:first + len(r)], r)
+        edges = bounds[first:first + len(r) + 1]
+        members = (order[edges[0]:edges[-1]] + 2).tolist()
+        edges = (edges - edges[0]).tolist()
+        for radical, num, den, a, b in zip(r.tolist(), nums, dens, edges, edges[1:]):
+            yield radical, num, den, members[a:b]
 
 
 def group_by_coefficient(max_n: int) -> list[CoefficientGroup]:

@@ -87,6 +87,12 @@ class TestNumericParsing:
     def test_plain_decimal_accepted(self, runner):
         assert run_ok(runner, ["totient", "0097"]) == "96\n"
 
+    def test_past_the_int_conversion_limit_refused_before_output(self, runner):
+        # 5,000 digits is past Python's default 4,300-digit limit on int(str)
+        result = runner.invoke(cli.main, ["totient", "9" * 5000])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+
 
 class TestTotientCommand:
     def test_plain_value(self, runner):
@@ -112,6 +118,13 @@ class TestTotientCommand:
         header, row = out.splitlines()
         assert header == "n,phi"
         assert row == "9450,2160"
+
+    @pytest.mark.parametrize("n", ["9450", "0"])
+    def test_verbose_csv_refused_before_output(self, runner, n):
+        result = runner.invoke(cli.main, ["totient", n, "--verbose", "--format", "csv"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "plain and json" in result.stderr
 
     def test_json_verbose(self, runner):
         out = run_ok(runner, [
@@ -154,7 +167,7 @@ class TestTableCommand:
             "csv": "n,phi\n" + "".join(f"{n},{v}\n" for n, v in enumerate(values, start=1)),
             "json": json.dumps(values, indent=2) + "\n",
         }[fmt]
-        assert run_ok(runner, ["table", str(n_max), "--format", fmt]) == expected
+        assert_same_text(run_ok(runner, ["table", str(n_max), "--format", fmt]), expected)
 
     @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
     def test_bad_max_n_refused_before_output(self, runner, fmt):
@@ -274,7 +287,7 @@ class TestFareyCommand:
                 ],
             }, indent=2) + "\n",
         }[fmt]
-        assert run_ok(runner, ["farey", str(d), "--format", fmt]) == expected
+        assert_same_text(run_ok(runner, ["farey", str(d), "--format", fmt]), expected)
 
     def test_470_crosses_a_chunk_boundary(self):
         assert len(farey_sequence(470)) == 67_291 > cli.ROWS_PER_CHUNK

@@ -11,7 +11,6 @@ from totient_lab import (
     ENUMERATION_BOUND,
     FAREY_MATERIALIZE_BOUND,
     FareyCountReport,
-    ReducedFraction,
     count_by_enumeration,
     count_by_exclusion,
     count_by_totient_sum,
@@ -31,32 +30,6 @@ def farey_by_sorting(max_denominator: int) -> list[Fraction]:
         for a in range(1, b)
     }
     return sorted(values)
-
-
-class TestReducedFraction:
-    def test_str(self):
-        assert str(ReducedFraction(3, 4)) == "3/4"
-
-    def test_rejects_reducible(self):
-        with pytest.raises(ValueError, match="lowest terms"):
-            ReducedFraction(2, 4)
-
-    @pytest.mark.parametrize("num,den", [(3, 3), (0, 1), (5, 3), (1, 0)])
-    def test_rejects_outside_open_interval(self, num, den):
-        with pytest.raises(ValueError):
-            ReducedFraction(num, den)
-
-    def test_exact_ordering(self):
-        assert ReducedFraction(1, 3) < ReducedFraction(1, 2)
-        assert ReducedFraction(2, 3) > ReducedFraction(1, 2)
-        assert ReducedFraction(2, 4096 + 1) <= ReducedFraction(2, 4097)
-        assert ReducedFraction(1, 2) == ReducedFraction(1, 2)
-
-    def test_sorting_matches_fraction(self):
-        ours = sorted(
-            ReducedFraction(f.numerator, f.denominator) for f in farey_by_sorting(12)
-        )
-        assert [Fraction(f.numerator, f.denominator) for f in ours] == farey_by_sorting(12)
 
 
 class TestCountByTotientSum:
@@ -197,10 +170,11 @@ class TestFareySequence:
             assert right.numerator * left.denominator - left.numerator * right.denominator == 1
 
     def test_elements_valid_and_bounded(self):
-        for f in farey_sequence(25):
-            assert f.denominator <= 25
-            assert 0 < f.numerator < f.denominator
-            assert gcd(f.numerator, f.denominator) == 1
+        # on the walk's raw pairs: Fraction would reduce a pair that is not
+        # in lowest terms
+        for a, b in iter_farey_pairs(25):
+            assert 0 < a < b <= 25
+            assert gcd(a, b) == 1
 
     def test_small_rejected(self):
         with pytest.raises(ValueError):
@@ -233,5 +207,4 @@ class TestFareySequence:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 80))
     def test_matches_sort_oracle(self, d):
-        got = [Fraction(f.numerator, f.denominator) for f in farey_sequence(d)]
-        assert got == farey_by_sorting(d)
+        assert farey_sequence(d) == farey_by_sorting(d)
