@@ -14,11 +14,13 @@ import functools
 import json
 import os
 import re
+import string
 import sys
-from itertools import islice, starmap
+from itertools import starmap
 from typing import Iterable, Iterator
 
 import click
+import numpy as np
 
 from . import __version__
 from .core import Convention, factorize, totient, totient_from_factorization
@@ -29,14 +31,14 @@ from .farey import (
     count_by_enumeration,
     count_by_exclusion,
     count_by_totient_sum,
-    iter_farey_pairs,
+    _farey_blocks,
 )
-from .series import _coefficient_groups, _coefficient_rows
+from .series import _coefficient_blocks, _coefficient_groups
 from .sieve import bench_totient_methods, totient_sieve
 
 _DECIMAL_RE = re.compile(r"[0-9]+")
 
-#: Rows that _write_rows renders and writes at a time.
+#: Rows of the totient table that _write_rows renders and writes at a time.
 ROWS_PER_CHUNK = 1 << 16
 
 
@@ -98,29 +100,80 @@ def _lib_errors(fn):
     return wrapper
 
 
-def _write_rows(layout: tuple[str, str, str, str], rows: Iterable[Iterable],
-                **fields) -> int:
-    """Write a layout (head, row template, separator, tail): the head, the
-    rows rendered by row.format(*r) and joined by the separator, then the
-    tail; return the number of rows written.  Head and tail are templates
-    filled from fields.
+def _render(row: str, sep: str, columns: tuple[np.ndarray, ...]) -> bytes:
+    """sep.join(starmap(row.format, zip(*columns))) as bytes, for a row
+    template whose fields are bare {} or {i} and columns of non-negative
+    integers, one row per index.
 
-    Rows are rendered and written ROWS_PER_CHUNK at a time, so memory stays
-    flat however many there are.  The head goes out with the first chunk,
-    so nothing is written before the first row: a producer that refuses
-    its input when that row is asked for leaves stdout empty.  A reader
-    that closes the pipe early ends the command with exit code 0 and
-    nothing on stderr, as it did when the whole output went out in one
-    write.
+    The rows are laid out in a byte matrix, one row and its separator per
+    line: the template's literal text, and each field's digits, got by
+    integer division in the narrowest unsigned dtype that holds the
+    column's maximum, padded with leading zeros to that maximum's width.  A
+    mask drops the leading zeros and the last separator.
+    """
+    pieces: list[bytes | int] = []  # literal text, or the index of a column
+    auto = 0
+    for literal, field, _, _ in string.Formatter().parse(row):
+        if literal:
+            pieces.append(literal.encode())
+        if field is not None:
+            if field == "":
+                field, auto = auto, auto + 1
+            pieces.append(int(field))
+    pieces.append(sep.encode())
+    tops = {p: int(columns[p].max()) for p in pieces if isinstance(p, int)}
+    widths = {p: len(str(top)) for p, top in tops.items()}
+    # the literal text, with a zero byte in place of every digit
+    template = b"".join(bytes(widths[p]) if isinstance(p, int) else p for p in pieces)
+    matrix = np.empty((len(columns[0]), len(template)), dtype=np.uint8)
+    matrix[:] = np.frombuffer(template, dtype=np.uint8)
+    keep = np.ones(matrix.shape, dtype=bool)
+    end = 0  # of the piece in hand, in the matrix's columns
+    for p in pieces:
+        if isinstance(p, bytes):
+            end += len(p)
+            continue
+        end += widths[p]
+        values = columns[p].astype(np.min_scalar_type(tops[p]))
+        rest = values
+        for k in range(1, widths[p] + 1):  # k-th digit from the right
+            rest, digit = np.divmod(rest, 10)
+            digit += ord("0")
+            matrix[:, end - k] = digit
+            if k < widths[p]:  # the digit left of it is a leading zero below 10**k
+                keep[:, end - k - 1] = values >= 10**k
+    keep[-1, len(template) - len(sep):] = False
+    return matrix[keep].tobytes()
+
+
+def _write_rows(layout: tuple[str, str, str, str], chunks: Iterable, **fields) -> int:
+    """Write a layout (head, row template, separator, tail): the head, the
+    rows joined by the separator, then the tail; return the number of rows
+    written.  Head and tail are templates filled from fields.
+
+    chunks yields the rows a chunk at a time: a tuple of numpy integer
+    columns, rendered by _render, or any other iterable of row tuples, each
+    rendered by row.format(*r).  Each chunk is rendered and written before
+    the next is asked for, so memory stays flat however many rows there are.
+    The head goes out with the first chunk, so nothing is written before
+    the first row: a producer that refuses its input when that row is
+    asked for leaves stdout empty.  A reader that closes the pipe early
+    ends the command with exit code 0 and nothing on stderr, as it did
+    when the whole output went out in one write.
     """
     head, row, sep, tail = layout
-    rows = iter(rows)  # islice must resume where the last chunk ended
     before = head.format(**fields)  # what goes out ahead of the next chunk
     written = 0
     try:
-        while chunk := list(starmap(row.format, islice(rows, ROWS_PER_CHUNK))):
-            click.echo(before + sep.join(chunk), nl=False)
-            before, written = sep, written + len(chunk)
+        for chunk in chunks:
+            if isinstance(chunk, tuple):
+                text, rows = _render(row, sep, chunk).decode(), len(chunk[0])
+            else:
+                text = list(starmap(row.format, chunk))
+                text, rows = sep.join(text), len(text)
+            click.echo(before + text, nl=False)
+            del text  # not held while the next chunk is rendered
+            before, written = sep, written + rows
         click.echo(("" if written else before) + tail.format(**fields), nl=False)
     except BrokenPipeError:
         # Later flushes, at exit included, go to /dev/null instead of failing.
@@ -131,8 +184,9 @@ def _write_rows(layout: tuple[str, str, str, str], rows: Iterable[Iterable],
     return written
 
 
-#: Plain lines, one row each.
-_LINES = ("", "{}", "\n", "\n")
+def _write_lines(lines: Iterable) -> None:
+    """Write each line, then a newline."""
+    _write_rows(("", "{}", "\n", "\n"), [[(line,) for line in lines]])
 
 
 def _csv_value(value) -> str:
@@ -152,20 +206,11 @@ def _write_record(fmt: str, fields: dict) -> None:
     header of the names over one line of values, or as "name: value" lines
     that leave out the missing ones."""
     if fmt == "json":
-        lines = [json.dumps(fields, indent=2)]
+        _write_lines([json.dumps(fields, indent=2)])
     elif fmt == "csv":
-        lines = [",".join(fields), ",".join(map(_csv_value, fields.values()))]
+        _write_lines([",".join(fields), ",".join(map(_csv_value, fields.values()))])
     else:
-        lines = [f"{name}: {value}" for name, value in fields.items() if value is not None]
-    _write_rows(_LINES, [(line,) for line in lines])
-
-
-def _numbered(values) -> Iterator[tuple[int, int]]:
-    """(n, values[n - 1]) for n = 1, 2, ..., converting ROWS_PER_CHUNK
-    numpy values to ints at a time."""
-    for start in range(0, len(values), ROWS_PER_CHUNK):
-        block = values[start:start + ROWS_PER_CHUNK].tolist()
-        yield from zip(range(start + 1, start + 1 + len(block)), block)
+        _write_lines(f"{name}: {value}" for name, value in fields.items() if value is not None)
 
 
 @click.group()
@@ -201,7 +246,7 @@ def cmd_totient(n: int, convention: str, fmt: str, verbose: bool) -> None:
             fields["distinct_primes"] = factorization.distinct_primes
         _write_record(fmt, fields)
     elif factorization is None:
-        _write_rows(_LINES, [(value,)])
+        _write_lines([value])
     else:
         primes = factorization.distinct_primes
         lines = [
@@ -212,7 +257,7 @@ def cmd_totient(n: int, convention: str, fmt: str, verbose: bool) -> None:
         if primes:
             product = " * ".join(f"{p - 1}/{p}" for p in primes)
             lines.append(f"product: {n} * {product} = {value}")
-        _write_rows(_LINES, [(line,) for line in lines])
+        _write_lines(lines)
 
 
 #: Per format: head, row template for (n, phi), row separator, tail.  The
@@ -231,8 +276,12 @@ _TABLE_LAYOUTS = {
 @_lib_errors
 def cmd_table(max_n: int, convention: str, fmt: str) -> None:
     """Totient values for every n in 1..MAX_N."""
-    table = totient_sieve(max_n, Convention(convention))
-    _write_rows(_TABLE_LAYOUTS[fmt], _numbered(table.values))
+    values = totient_sieve(max_n, Convention(convention)).values
+    starts = range(0, max_n, ROWS_PER_CHUNK)
+    _write_rows(_TABLE_LAYOUTS[fmt], (
+        (np.arange(start + 1, start + 1 + len(block)), block)
+        for start, block in zip(starts, np.split(values, starts[1:]))
+    ))
 
 
 @main.command("count")
@@ -248,7 +297,7 @@ def cmd_count(max_denominator: int, method: str, fmt: str) -> None:
     if method in ("sum", "enumerate"):
         count = count_by_totient_sum(d) if method == "sum" else count_by_enumeration(d)
         if fmt == "plain":
-            _write_rows(_LINES, [(count,)])
+            _write_lines([count])
         else:
             _write_record(fmt, {"max_denominator": d, "method": method, "count": count})
         return
@@ -280,6 +329,35 @@ _FAREY_LAYOUTS = {
 }
 
 
+def _check_neighbours(num: np.ndarray, den: np.ndarray, D: int) -> None:
+    """Raise CrossCheckError at the first consecutive terms a/b, c/d that
+    are not neighbours in the sequence of order D: bc - ad = 1, b + d > D
+    and d <= D.  Checked from 0/1 to 1/1, that makes the terms the whole
+    sequence; the determinant alone would pass one that lost a term whose
+    denominator is the sum of its neighbours'."""
+    det = den[:-1] * num[1:] - num[:-1] * den[1:]
+    spans = den[:-1] + den[1:]
+    bad = np.flatnonzero((det != 1) | (spans <= D) | (den[1:] > D))
+    if bad.size:
+        i = bad[0]
+        raise CrossCheckError(
+            f"farey terms {num[i]}/{den[i]} and {num[i + 1]}/{den[i + 1]} are not "
+            f"neighbours at D={D}: bc - ad = {det[i]}, b + d = {spans[i]}"
+        )
+
+
+def _checked_farey_blocks(D: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """_farey_blocks(D), each block passed on once its terms are checked as
+    neighbours of the term before them, from 0/1 before the first term to
+    1/1 after the last."""
+    last = np.array([0]), np.array([1])
+    for num, den in _farey_blocks(D):
+        _check_neighbours(np.concatenate((last[0], num)), np.concatenate((last[1], den)), D)
+        yield num, den
+        last = num[-1:], den[-1:]
+    _check_neighbours(np.append(last[0], 1), np.append(last[1], 1), D)
+
+
 @main.command("farey")
 @click.argument("max_denominator", type=DECIMAL)
 @_format_option
@@ -292,14 +370,14 @@ def cmd_farey(max_denominator: int, fmt: str) -> None:
         raise DomainError(
             f"D={d} exceeds the sequence bound {FAREY_MATERIALIZE_BOUND}"
         )
-    pairs = iter_farey_pairs(d)  # refuses a bad D before anything is written
     # plain and json take the count from the totient sum, then check it
-    # against the walk; csv builds no sieve
+    # against the rows written; csv builds no sieve.  Every format checks
+    # the terms as neighbours.
     count = None if fmt == "csv" else count_by_totient_sum(d)
-    written = _write_rows(_FAREY_LAYOUTS[fmt], pairs, d=d, count=count)
+    written = _write_rows(_FAREY_LAYOUTS[fmt], _checked_farey_blocks(d), d=d, count=count)
     if count is not None and written != count:
         raise CrossCheckError(
-            f"farey walk wrote {written} fractions at D={d}, "
+            f"farey blocks wrote {written} fractions at D={d}, "
             f"count_by_totient_sum gives {count}"
         )
 
@@ -346,12 +424,13 @@ def cmd_series(max_n: int, grouped: bool, fmt: str) -> None:
     """Series coefficients: totient(n) and the reduced rational totient(n)/n
     for n = 2..MAX_N."""
     if not grouped:
-        _write_rows(_SERIES_LAYOUTS[fmt], _coefficient_rows(max_n))
+        _write_rows(_SERIES_LAYOUTS[fmt], _coefficient_blocks(max_n))
         return
     *layout, joiner = _GROUPED_LAYOUTS[fmt]
     _write_rows(layout, (
-        (r, num, den, joiner.format(r, num, den).join(map(str, members)))
-        for r, num, den, members in _coefficient_groups(max_n)
+        ((r, num, den, joiner.format(r, num, den).join(map(str, members)))
+         for r, num, den, members in chunk)
+        for chunk in _coefficient_groups(max_n)
     ))
 
 
@@ -371,7 +450,7 @@ def cmd_bench(max_n: int, fmt: str) -> None:
     if fmt == "json":
         _write_record(fmt, {"max_n": report.max_n, "results": results, "checksums_agree": agree})
     elif fmt == "csv":
-        _write_rows(_BENCH_CSV, [map(_csv_value, r.values()) for r in results])
+        _write_rows(_BENCH_CSV, [[map(_csv_value, r.values()) for r in results]])
     else:
         lines = [
             f"{r.method}: {r.seconds:.6f} s, checksum {r.checksum}" if r.executed
@@ -379,7 +458,7 @@ def cmd_bench(max_n: int, fmt: str) -> None:
             for r in report.results
         ]
         lines.append("checksums agree: " + ("yes" if agree else "NO"))
-        _write_rows(_LINES, [(line,) for line in lines])
+        _write_lines(lines)
 
     if not agree:
         raise CrossCheckError(

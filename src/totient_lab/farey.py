@@ -4,8 +4,11 @@ exclusion of reducible forms from the D(D-1)/2 total, and the definitional
 double-loop enumeration.
 
 All counting is exact integer arithmetic.  The sequence's terms are
-fractions.Fraction, the type the series module returns too; they order by
-exact cross-multiplication, never floating point.
+fractions.Fraction, the type the series module returns too.  They come in
+order two ways, neither using floating point: the neighbor walk steps from
+each term to the next in O(1) memory, and the value windows of
+_farey_blocks sort each window's reduced fractions in numpy by an exact
+integer key.
 """
 
 from __future__ import annotations
@@ -26,9 +29,16 @@ ENUMERATION_BOUND = 10**4
 
 #: farey_sequence materializes about 3 D^2 / pi^2 fraction objects (roughly
 #: 2 GB at this bound); iter_farey_pairs and iter_farey_sequence stream
-#: without that cost.  The CLI's `farey` streams too, so there the bound
+#: without that cost.  farey_sequence and the CLI's `farey` read the terms
+#: from _farey_blocks, whose sort keys stay exact in int64 up to this bound
+#: and far beyond; the CLI writes them a block at a time, so there the bound
 #: limits time (about 30 M rows), not memory.
 FAREY_MATERIALIZE_BOUND = 10**4
+
+#: Terms per block of _farey_blocks, roughly: F_D has about 3 D^2 / pi^2
+#: interior terms, so D^2 // (3 * _BLOCK) windows hold about 0.9 * _BLOCK
+#: each.
+_BLOCK = 1 << 16
 
 
 def _check_denominator(max_denominator: int) -> None:
@@ -166,11 +176,52 @@ def iter_farey_sequence(max_denominator: int) -> Iterator[Fraction]:
     return starmap(Fraction, iter_farey_pairs(max_denominator))
 
 
+def _farey_windows(D: int) -> int:
+    """How many value windows _farey_blocks splits (0, 1) into."""
+    return max(1, D * D // (3 * _BLOCK))
+
+
+def _farey_blocks(D: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The terms of iter_farey_pairs(D) as (numerators, denominators) int64
+    arrays, one value window [i/M, (i+1)/M) at a time, M = _farey_windows(D).
+
+    A window's candidates are the a/b with b <= D and
+    ceil(i b / M) <= a < ceil((i+1) b / M); the ones with gcd(a, b) = 1 are
+    its terms.  They are sorted by the integer key (a M - i b) K // b, which
+    is floor(K M (a/b - i/M)) with K = ceil(D^2 / M): distinct terms lie at
+    least 1/D^2 apart, so their keys differ by at least K M / D^2 >= 1.
+    K <= 6 * _BLOCK and M <= max(1, D^2 / (3 * _BLOCK)), so every product
+    stays below max(6 * _BLOCK * D, D^3 / (3 * _BLOCK)), inside int64 for D
+    up to the table limit.  A window costs O(D) besides its terms.  D >= 2
+    is checked when the first block is asked for.
+    """
+    _check_denominator(D)
+    M = _farey_windows(D)
+    K = -(-D * D // M)
+    b = np.arange(1, D + 1, dtype=np.int64)
+    for i in range(M):
+        lo = np.maximum(-(-i * b // M), 1)  # ceil(i b / M), and a >= 1
+        counts = -(-(i + 1) * b // M) - lo
+        den = np.repeat(b, counts)
+        # a runs from lo up within each denominator's stretch of den
+        num = np.arange(len(den), dtype=np.int64)
+        num += np.repeat(lo - (np.cumsum(counts) - counts), counts)
+        reduced = np.gcd(num, den) == 1
+        num, den = num[reduced], den[reduced]
+        order = np.argsort((num * M - i * den) * K // den)
+        yield num[order], den[order]
+
+
 def farey_sequence(max_denominator: int) -> list[Fraction]:
-    """Materialized iter_farey_sequence; length equals count_by_totient_sum(D)."""
+    """iter_farey_sequence as a list, read from _farey_blocks; its length
+    equals count_by_totient_sum(D)."""
     if max_denominator > FAREY_MATERIALIZE_BOUND:
         raise ValueError(
             f"materializing D={max_denominator} needs ~3 D^2 / pi^2 objects; "
             f"the bound is {FAREY_MATERIALIZE_BOUND}, use iter_farey_sequence instead"
         )
-    return list(iter_farey_sequence(max_denominator))
+    return [
+        Fraction(a, b)
+        for num, den in _farey_blocks(max_denominator)
+        for a, b in zip(num.tolist(), den.tolist())
+    ]

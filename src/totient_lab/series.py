@@ -24,7 +24,8 @@ from .sieve import (
     totient_sieve,
 )
 
-#: Rows or groups reduced and converted to ints at a time.
+#: Rows reduced at a time; when grouping, the most members converted to
+#: ints at a time, unless one group alone holds more.
 _CHUNK = 1 << 16
 
 
@@ -58,28 +59,32 @@ def series_coefficients(max_n: int) -> list[int]:
     return totient_sieve(max_n, Convention.EULER).values.tolist()
 
 
-def _reduced(phi: np.ndarray, n: np.ndarray) -> tuple[list[int], list[int]]:
-    """Numerators and denominators of phi/n in lowest terms, as ints."""
+def _reduced(phi: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Numerators and denominators of phi/n in lowest terms."""
     g = np.gcd(phi, n)
-    return (phi // g).tolist(), (n // g).tolist()
+    return phi // g, n // g
 
 
-def _coefficient_rows(max_n: int) -> Iterator[tuple[int, int, int, int]]:
-    """(n, totient(n), num, den) for n = 2..max_n, num/den being totient(n)/n
-    in lowest terms.  max_n is checked and the one sieve built when the
-    first row is asked for; rows are then reduced _CHUNK at a time."""
+def _coefficient_blocks(max_n: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """(n, totient(n), num, den) as uint64 columns for n = 2..max_n, _CHUNK
+    rows at a time, num/den being totient(n)/n in lowest terms.  max_n is
+    checked and the one sieve built when the first block is asked for."""
     if max_n < 2:
         raise ValueError(f"series needs max_n >= 2, got {max_n}")
     phi = totient_sieve(max_n, Convention.EULER).values
     for start in range(2, max_n + 1, _CHUNK):
         n = np.arange(start, min(start + _CHUNK, max_n + 1), dtype=np.uint64)
         block = phi[start - 1:start - 1 + len(n)]
-        yield from zip(n.tolist(), block.tolist(), *_reduced(block, n))
+        yield (n, block, *_reduced(block, n))
 
 
 def integrated_series_coefficients(max_n: int) -> list[Fraction]:
     """The reduced coefficients totient(n)/n for n = 2..max_n, in order."""
-    return [Fraction(num, den) for _, _, num, den in _coefficient_rows(max_n)]
+    return [
+        Fraction(num, den)
+        for _, _, nums, dens in _coefficient_blocks(max_n)
+        for num, den in zip(nums.tolist(), dens.tolist())
+    ]
 
 
 @dataclass(frozen=True)
@@ -106,11 +111,24 @@ def _radical_table(max_n: int) -> np.ndarray:
     return rad
 
 
-def _coefficient_groups(max_n: int) -> Iterator[tuple[int, int, int, list[int]]]:
+def _group_chunks(bounds: np.ndarray) -> Iterator[tuple[int, int]]:
+    """(first, end) group indices of successive chunks, group g holding the
+    bounds[g + 1] - bounds[g] members: each chunk takes the groups whose
+    members stay within _CHUNK, and at least one group."""
+    first, groups = 0, len(bounds) - 1
+    while first < groups:
+        end = int(np.searchsorted(bounds, bounds[first] + _CHUNK, side="right")) - 1
+        end = max(end, first + 1)
+        yield first, end
+        first = end
+
+
+def _coefficient_groups(max_n: int) -> Iterator[Iterator[tuple[int, int, int, list[int]]]]:
     """(radical, num, den, members) for each group of 2..max_n with equal
     totient(n)/n = num/den in lowest terms, ascending by radical and each
-    group's members ascending.  As in _coefficient_rows, the arrays are
-    built when the first group is asked for."""
+    group's members ascending, in one iterator per chunk of _group_chunks.
+    As in _coefficient_blocks, the arrays are built when the first chunk is
+    asked for."""
     if max_n < 2:
         raise ValueError(f"grouping needs max_n >= 2, got {max_n}")
     if max_n > SIEVE_LIMIT:
@@ -126,14 +144,17 @@ def _coefficient_groups(max_n: int) -> Iterator[tuple[int, int, int, list[int]]]
     del rad
     # last, so that the sieve's build does not overlap the arrays deleted above
     phi = totient_sieve(max_n, Convention.EULER).values[radicals - 1]
-    for first in range(0, len(radicals), _CHUNK):
-        r = radicals[first:first + _CHUNK].astype(np.uint64)
-        nums, dens = _reduced(phi[first:first + len(r)], r)
-        edges = bounds[first:first + len(r) + 1]
+    for first, end in _group_chunks(bounds):
+        r = radicals[first:end].astype(np.uint64)
+        nums, dens = _reduced(phi[first:end], r)
+        edges = bounds[first:end + 1]
         members = (order[edges[0]:edges[-1]] + 2).tolist()
         edges = (edges - edges[0]).tolist()
-        for radical, num, den, a, b in zip(r.tolist(), nums, dens, edges, edges[1:]):
-            yield radical, num, den, members[a:b]
+        yield (
+            (radical, num, den, members[a:b])
+            for radical, num, den, a, b in zip(r.tolist(), nums.tolist(), dens.tolist(),
+                                               edges, edges[1:])
+        )
 
 
 def group_by_coefficient(max_n: int) -> list[CoefficientGroup]:
@@ -141,5 +162,6 @@ def group_by_coefficient(max_n: int) -> list[CoefficientGroup]:
     radical, ascending."""
     return [
         CoefficientGroup(coefficient=Fraction(num, den), radical=r, members=tuple(members))
-        for r, num, den, members in _coefficient_groups(max_n)
+        for chunk in _coefficient_groups(max_n)
+        for r, num, den, members in chunk
     ]

@@ -1,7 +1,9 @@
 import json
 from fractions import Fraction
+from itertools import starmap
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -25,6 +27,7 @@ from totient_lab import (
     totient,
     totient_sieve,
 )
+from totient_lab.farey import _farey_blocks
 from reference_values import CUMULATIVE_PRINTED, TOTIENT_1_TO_100
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -76,6 +79,37 @@ class TestGoldenFiles:
         rows = [tuple(int(x) for x in line.split(",")) for line in lines[1:]]
         assert [d for d, _ in rows] == list(range(10, 101, 10))
         assert [c for _, c in rows] == CUMULATIVE_PRINTED
+
+
+#: The row templates and separators of every layout whose rows _render
+#: writes: bare and numbered fields, and escaped braces.
+RENDERED_LAYOUTS = {
+    f"{name}-{fmt}": layout[fmt][1:3]
+    for name, layout in [("table", cli._TABLE_LAYOUTS), ("farey", cli._FAREY_LAYOUTS),
+                         ("series", cli._SERIES_LAYOUTS)]
+    for fmt in ("plain", "csv", "json")
+}
+EDGE_VALUES = [0, 9, 10, 99, 2**32 - 1, 2**32, 10**8]
+
+
+class TestRender:
+    @pytest.mark.parametrize("layout", RENDERED_LAYOUTS.values(), ids=RENDERED_LAYOUTS.keys())
+    @pytest.mark.parametrize("rows", [1, len(EDGE_VALUES), cli.ROWS_PER_CHUNK + 1])
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+    def test_matches_str_format(self, layout, rows, dtype):
+        row, sep = layout
+        values = np.resize(np.array(EDGE_VALUES, dtype=dtype), rows)
+        # four columns, each holding every edge value once the rows allow it
+        columns = tuple(np.roll(values, shift) for shift in range(4))
+        expected = sep.join(starmap(row.format, zip(*(c.tolist() for c in columns))))
+        assert cli._render(row, sep, columns) == expected.encode()
+
+    @pytest.mark.parametrize("top", EDGE_VALUES)
+    def test_column_of_one_width(self, top):
+        # every digit of the widest value kept, every leading zero dropped
+        columns = (np.arange(top - min(top, 12), top + 1, dtype=np.uint64),)
+        expected = "\n".join(map(str, columns[0].tolist()))
+        assert cli._render("{}", "\n", columns) == expected.encode()
 
 
 class TestNumericParsing:
@@ -271,9 +305,9 @@ class TestFareyCommand:
         assert result.stdout == ""
 
     @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
-    @pytest.mark.parametrize("d", [2, 10, 470])
+    @pytest.mark.parametrize("d", [2, 10, 470, 700])
     def test_matches_text_rebuilt_from_sequence(self, runner, d, fmt):
-        # D = 470 gives 67,291 rows, which cross a chunk boundary
+        # D = 470 gives 67,291 rows in one block, D = 700 two blocks
         seq = farey_sequence(d)
         expected = {
             "plain": "".join(f"{f}\n" for f in seq) + f"count: {len(seq)}\n",
@@ -291,6 +325,36 @@ class TestFareyCommand:
 
     def test_470_crosses_a_chunk_boundary(self):
         assert len(farey_sequence(470)) == 67_291 > cli.ROWS_PER_CHUNK
+
+    def test_700_crosses_a_block_seam(self):
+        assert len(list(_farey_blocks(700))) == 2
+
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    @pytest.mark.parametrize("fault,message", [
+        # 4/9 and 1/2 trade places, 1/2 opening the second block
+        ("swap", "farey terms 3/7 and 1/2 are not neighbours at D=10: bc - ad = 1, b + d = 9"),
+        # 1/10 is the mediant of 0/1 and 1/9, so the determinant still reads 1
+        ("drop-first", "farey terms 0/1 and 1/9 are not neighbours at D=10: bc - ad = 1, b + d = 10"),
+        ("drop-last", "farey terms 8/9 and 1/1 are not neighbours at D=10: bc - ad = 1, b + d = 10"),
+    ])
+    def test_terms_that_are_not_neighbours_exit_3(self, runner, monkeypatch, fmt, fault, message):
+        (num, den), = _farey_blocks(10)
+        i = list(zip(num.tolist(), den.tolist())).index((4, 9))
+        if fault == "swap":
+            num[[i, i + 1]], den[[i, i + 1]] = num[[i + 1, i]], den[[i + 1, i]]
+        elif fault == "drop-first":
+            num, den, i = num[1:], den[1:], i - 1
+        else:
+            num, den = num[:-1], den[:-1]
+
+        def faulty_blocks(d):
+            yield num[:i], den[:i]
+            yield num[i:], den[i:]
+
+        monkeypatch.setattr(cli, "_farey_blocks", faulty_blocks)
+        result = runner.invoke(cli.main, ["farey", "10", "--format", fmt])
+        assert result.exit_code == 3
+        assert message in result.stderr
 
     @pytest.mark.parametrize("fmt", ["plain", "json"])
     def test_count_disagreeing_with_walk_exits_3(self, runner, monkeypatch, fmt):

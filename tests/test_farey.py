@@ -19,7 +19,21 @@ from totient_lab import (
     iter_farey_pairs,
     iter_farey_sequence,
 )
+from totient_lab.farey import _farey_blocks, _farey_windows
 from reference_values import totient_by_gcd_count
+
+
+def block_pairs(max_denominator: int) -> list[tuple[int, int]]:
+    """The terms of _farey_blocks as (numerator, denominator) ints."""
+    return [
+        pair
+        for num, den in _farey_blocks(max_denominator)
+        for pair in zip(num.tolist(), den.tolist())
+    ]
+
+
+#: Every D in 3..1000 where the window count of _farey_blocks changes.
+WINDOW_COUNT_CHANGES = [d for d in range(3, 1001) if _farey_windows(d) != _farey_windows(d - 1)]
 
 
 def farey_by_sorting(max_denominator: int) -> list[Fraction]:
@@ -170,9 +184,9 @@ class TestFareySequence:
             assert right.numerator * left.denominator - left.numerator * right.denominator == 1
 
     def test_elements_valid_and_bounded(self):
-        # on the walk's raw pairs: Fraction would reduce a pair that is not
-        # in lowest terms
-        for a, b in iter_farey_pairs(25):
+        # on the raw pairs of the walk and of the blocks: Fraction would
+        # reduce a pair that is not in lowest terms
+        for a, b in [*iter_farey_pairs(25), *block_pairs(25)]:
             assert 0 < a < b <= 25
             assert gcd(a, b) == 1
 
@@ -195,9 +209,8 @@ class TestFareySequence:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 80))
     def test_pairs_match_materialized_sequence(self, d):
-        assert list(iter_farey_pairs(d)) == [
-            (f.numerator, f.denominator) for f in farey_sequence(d)
-        ]
+        assert block_pairs(d) == list(iter_farey_pairs(d))
+        assert [(f.numerator, f.denominator) for f in farey_sequence(d)] == block_pairs(d)
 
     def test_streaming_works_past_materialize_bound(self):
         stream = iter_farey_sequence(FAREY_MATERIALIZE_BOUND + 1)
@@ -208,3 +221,27 @@ class TestFareySequence:
     @given(st.integers(2, 80))
     def test_matches_sort_oracle(self, d):
         assert farey_sequence(d) == farey_by_sorting(d)
+
+
+class TestFareyBlocks:
+    def test_window_count_changes_below_1000(self):
+        assert WINDOW_COUNT_CHANGES and _farey_windows(1000) > 1
+
+    @pytest.mark.parametrize("d", sorted({x for c in WINDOW_COUNT_CHANGES for x in (c - 1, c)}))
+    def test_match_walk_where_window_count_changes(self, d):
+        assert block_pairs(d) == list(iter_farey_pairs(d))
+
+    def test_ends_and_count_at_materialize_bound(self):
+        d = FAREY_MATERIALIZE_BOUND
+        first = list(itertools.islice(iter_farey_pairs(d), 2000))
+        count, head, tail = 0, [], []
+        for num, den in _farey_blocks(d):
+            count += len(num)
+            if len(head) < 2000:
+                head += zip(num[:2000].tolist(), den[:2000].tolist())
+            tail = (tail + list(zip(num[-2000:].tolist(), den[-2000:].tolist())))[-2000:]
+        assert count == count_by_totient_sum(d)
+        assert head[:2000] == first
+        # the sequence is symmetric about 1/2: its last terms are 1 - a/b
+        # for its first terms a/b, in reverse
+        assert tail == [(b - a, b) for a, b in reversed(first)]

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,7 +15,7 @@ from totient_lab import (
     series_coefficients,
     totient,
 )
-from totient_lab.series import _radical_table
+from totient_lab.series import _CHUNK, _group_chunks, _radical_table
 from reference_values import ROOT_EDGE_SIZES, sampled_entries
 
 EULER = Convention.EULER
@@ -204,3 +205,36 @@ class TestGroupByCoefficient:
                 value = g.coefficient * member
                 assert value.denominator == 1
                 assert value.numerator == totient(member, EULER)
+
+
+def chunk_members(sizes: list[int]) -> list[int]:
+    """Members per chunk that _group_chunks cuts from groups of these
+    sizes, after checking that the chunks cover the groups in order."""
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    chunks = list(_group_chunks(bounds))
+    assert [first for first, _ in chunks] == [0, *(end for _, end in chunks[:-1])]
+    assert all(first < end for first, end in chunks)
+    assert chunks[-1][1] == len(sizes)
+    return [int(bounds[end] - bounds[first]) for first, end in chunks]
+
+
+class TestGroupChunks:
+    @pytest.mark.parametrize("max_n", [500_000, 2_000_000])
+    def test_chunk_members_bounded_at_sizes_of_max_n(self, max_n):
+        # the first groups, of the small radicals, hold the most members
+        sizes = np.bincount(_radical_table(max_n)[2:])
+        sizes = sizes[sizes > 0].tolist()
+        members = chunk_members(sizes)
+        assert len(members) > 1
+        assert max(members) <= _CHUNK + max(sizes)
+
+    @pytest.mark.parametrize("sizes", [
+        [1],
+        [_CHUNK],
+        [_CHUNK + 1],
+        [3, _CHUNK * 2, 5],
+        [_CHUNK - 1, 2, _CHUNK - 1],
+        [1] * (3 * _CHUNK + 7),
+    ])
+    def test_chunk_members_bounded(self, sizes):
+        assert max(chunk_members(sizes)) <= _CHUNK + max(sizes)

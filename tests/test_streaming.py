@@ -78,8 +78,8 @@ class TestFlatMemory:
     @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
     def test_series_grouped_peak_rss_per_entry(self, fmt):
         # the radical table and its stable argsort hold 8 bytes per entry
-        # each, the per-radical arrays about 15, and a chunk of groups holds
-        # more members as N grows
+        # each and the per-radical arrays about 15; the groups are written
+        # a chunk of at most 65,536 members at a time
         per_entry = peak_rss_per_entry("series", "--grouped", "--format", fmt)
         assert per_entry <= 80, f"{per_entry:.1f} bytes per entry"
 
