@@ -34,7 +34,7 @@ from .farey import (
     _farey_blocks,
 )
 from .series import _coefficient_blocks, _coefficient_groups
-from .sieve import bench_totient_methods, totient_sieve
+from .sieve import _totient_blocks, bench_totient_methods
 
 _DECIMAL_RE = re.compile(r"[0-9]+")
 
@@ -276,11 +276,11 @@ _TABLE_LAYOUTS = {
 @_lib_errors
 def cmd_table(max_n: int, convention: str, fmt: str) -> None:
     """Totient values for every n in 1..MAX_N."""
-    values = totient_sieve(max_n, Convention(convention)).values
-    starts = range(0, max_n, ROWS_PER_CHUNK)
     _write_rows(_TABLE_LAYOUTS[fmt], (
-        (np.arange(start + 1, start + 1 + len(block)), block)
-        for start, block in zip(starts, np.split(values, starts[1:]))
+        (np.arange(lo + start, lo + start + len(rows)), rows)
+        for lo, values in _totient_blocks(max_n, Convention(convention))
+        for start in range(0, len(values), ROWS_PER_CHUNK)
+        for rows in [values[start:start + ROWS_PER_CHUNK]]
     ))
 
 

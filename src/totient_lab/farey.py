@@ -22,7 +22,7 @@ from typing import Iterator
 import numpy as np
 
 from .core import Convention
-from .sieve import SIEVE_LIMIT, totient_sieve
+from .sieve import SIEVE_LIMIT, _totient_blocks
 
 #: count_by_enumeration is O(D^2 log D); it refuses D above this.
 ENUMERATION_BOUND = 10**4
@@ -92,10 +92,12 @@ class FareyCountReport:
 
 def count_by_totient_sum(max_denominator: int) -> int:
     """Reduced fractions in (0, 1) with denominator <= D, as sum of
-    totient(k) for k = 2..D."""
+    totient(k) for k = 2..D, summed a block of the sieve at a time."""
     _check_denominator(max_denominator)
-    table = totient_sieve(max_denominator, Convention.EULER)
-    return int(table.values.sum(dtype=np.uint64))  # the k=1 term is 0
+    return sum(  # the k=1 term is 0
+        int(values.sum(dtype=np.uint64))
+        for _, values in _totient_blocks(max_denominator, Convention.EULER)
+    )
 
 
 def count_by_exclusion(max_denominator: int) -> FareyCountReport:
@@ -106,26 +108,29 @@ def count_by_exclusion(max_denominator: int) -> FareyCountReport:
     floor(D/k) * k; all but the first are reducible, so k contributes
     (floor(D/k) - 1) * totient(k) exclusions.  Terms with floor(D/k) < 2
     contribute nothing, so the sum stops after k = floor(D/2).  The
-    exclusion sum and the count_by_totient_sum field are both read from one
-    totient table up to D; count_by_enumeration is the independent oracle.
+    exclusion sum and the count_by_totient_sum field are both reduced from
+    one pass over the sieve's blocks, neither holding a table;
+    count_by_enumeration is the independent oracle.
     """
     D = max_denominator
     _check_denominator(D)
     total_unreduced = D * (D - 1) // 2
-    phi = totient_sieve(D, Convention.EULER).values
     half = D // 2
-    # one D/2 buffer: k, then floor(D/k) - 1, then the terms
-    terms = np.arange(2, half + 1, dtype=np.uint64)
-    np.floor_divide(D, terms, out=terms)
-    terms -= 1
-    terms *= phi[1:half]
-    excluded = int(terms.sum(dtype=np.uint64))
+    excluded = totient_sum = 0
+    for lo, phi in _totient_blocks(D, Convention.EULER):
+        # the k=1 terms are 0, as totient(1) is
+        totient_sum += int(phi.sum(dtype=np.uint64))
+        # one buffer per block: k, then floor(D/k) - 1
+        terms = np.arange(lo, min(lo + len(phi), half + 1), dtype=np.uint64)
+        np.floor_divide(D, terms, out=terms)
+        terms -= 1
+        excluded += int(np.dot(terms, phi[:len(terms)]))
     return FareyCountReport(
         max_denominator=D,
         total_unreduced=total_unreduced,
         excluded=excluded,
         count_by_exclusion=total_unreduced - excluded,
-        count_by_totient_sum=int(phi.sum(dtype=np.uint64)),  # the k=1 term is 0
+        count_by_totient_sum=totient_sum,
     )
 
 

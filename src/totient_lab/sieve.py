@@ -1,26 +1,31 @@
 """Bulk totient tables, cumulative reduced-fraction counts, and a benchmark
 comparing the three totient routes.
 
-Tables are numpy uint64 arrays built with an in-place product sieve, not
-max_n independent factorizations: strides over the primes up to
-sqrt(max_n), then one scatter per cofactor for the primes above it.  10**7
-entries take about 0.8 s on a 2-vCPU Xeon VM, and the build holds about
-8 bytes per entry plus a third of that for the p = 3 stride.
+Totients come from one segmented product sieve, _totient_blocks, not
+max_n independent factorizations: in each block of _BLOCK entries, one
+in-place multiply per stride of each prime up to sqrt(max_n), then one
+scatter for the primes above it.  The counting routes and the CLI's
+`table` reduce or write the blocks as they come and hold no table;
+totient_sieve copies them into one.  On a 2-vCPU Xeon VM, 10**7 entries
+take about 0.4 s, and the CLI's `count 100000000` 5-6 s with a peak RSS
+of 47 MiB.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from math import isqrt
+from math import isqrt, log
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .core import Convention, totient, totient_bruteforce
 
-#: Practical table-size limit.  A full table costs 8 bytes per entry, so
-#: the limit corresponds to roughly 800 MB; larger requests are refused.
+#: Practical table-size limit; larger requests are refused.  A whole table
+#: (totient_sieve) costs 8 bytes per entry, roughly 800 MB at the limit.
+#: The block-by-block routes hold one block and 4 bytes per prime <= N/2,
+#: so for them the limit bounds time, 5-6 s at 10**8.
 SIEVE_LIMIT = 10**8
 
 #: Per-method input bounds for the benchmark.  The brute-force route costs
@@ -30,6 +35,10 @@ BENCH_BRUTEFORCE_BOUND = 10**4
 BENCH_FACTORIZATION_BOUND = 10**6
 
 _UINT64_MASK = 2**64 - 1
+
+#: Entries per block of _totient_blocks.  At least isqrt(SIEVE_LIMIT), so
+#: the first block holds every cofactor j <= max_n // (isqrt(max_n) + 1).
+_BLOCK = 1 << 17
 
 
 def primes_up_to(n: int) -> np.ndarray:
@@ -98,20 +107,13 @@ class TotientTable:
         return int(np.dot(n, self.values))
 
 
-def totient_sieve(
-    max_n: int, convention: Convention = Convention.MODERN
-) -> TotientTable:
-    """Totient table for 1..max_n via the in-place product sieve.
+def _prime_count_bound(x: int) -> int:
+    """An upper bound on the number of primes <= x: 1.25506 x / ln x for
+    x > 1 (Rosser & Schoenfeld, Illinois J. Math. 1962, Corollary 1)."""
+    return int(1.25506 * x / log(x)) + 1 if x > 1 else 0
 
-    Start with value[n] = n.  For each prime p <= sqrt(max_n), update its
-    whole stride at once: value -= value // p (that is, multiply by
-    1 - 1/p; for p = 2, a shift in place).  Every step is exact because p
-    still divides the running value wherever p divides n.  Then each n left
-    with a prime factor p > sqrt(max_n) is j * p for one cofactor j <
-    sqrt(max_n) whose value is final, and value[j * p] = totient(j) * p, so
-    one scatter per j subtracts totient(j) at every such p.  Total work is
-    O(max_n log log max_n), with about sqrt(max_n) Python-level steps.
-    """
+
+def _check_table_size(max_n: int) -> None:
     if max_n < 1:
         raise ValueError(f"max_n must be a positive integer, got {max_n}")
     if max_n > SIEVE_LIMIT:
@@ -119,22 +121,94 @@ def totient_sieve(
             f"max_n={max_n} exceeds the documented table limit {SIEVE_LIMIT} "
             f"(about 800 MB of values)"
         )
+
+
+def _totient_blocks(
+    max_n: int, convention: Convention
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (lo, values) for lo = 1, 1 + _BLOCK, ..., where the uint64
+    array values holds the totients of lo..min(lo + _BLOCK - 1, max_n).
+
+    Each block starts as value[n] = n and is finished in three steps:
+
+    1. For each prime p <= sqrt(max_n), multiply its stride by 1 - 1/p in
+       place: a shift for p = 2, and for odd p one multiply by
+       c_p = p^-1 (p - 1) mod 2**64, p^-1 being the inverse of p mod 2**64.
+       p divides the running value wherever p divides n, so the wrapped
+       product is exactly value // p * (p - 1).
+    2. An entry above sqrt(max_n) that the strides left at n has no prime
+       factor <= sqrt(max_n), so it is a prime: its value is n - 1.  The
+       primes <= max_n // 2 are kept; they are the only large primes with a
+       cofactor j >= 2.
+    3. Every other n left with a prime factor p > sqrt(max_n) is j * p for
+       one cofactor 2 <= j <= max_n // (isqrt(max_n) + 1), whose value is
+       final in the first block, and value[j * p] = totient(j) * p, so one
+       scatter subtracts totient(j) at every such n of the block.
+
+    Besides the block, this holds the cofactors' totients and the kept
+    primes, about 4 bytes per prime <= max_n // 2.  max_n is checked when
+    the first block is asked for.
+    """
+    _check_table_size(max_n)
+    root = isqrt(max_n)
+    odd = primes_up_to(root)[1:].tolist()
+    multipliers = [np.uint64(pow(p, -1, 2**64) * (p - 1) & _UINT64_MASK) for p in odd]
+    cofactors = np.arange(2, max_n // (root + 1) + 1, dtype=np.int32)
+    half = max_n // 2
+    large = np.empty(_prime_count_bound(half), dtype=np.int32)  # primes in (root, half]
+    found = 0
+    cofactor_phi = None  # totient(j) for each cofactor j, from the first block
+    for lo in range(1, max_n + 1, _BLOCK):
+        hi = min(lo + _BLOCK - 1, max_n)
+        val = np.arange(lo, hi + 1, dtype=np.uint64)
+        val[lo & 1::2] >>= 1  # the even n
+        for p, c in zip(odd, multipliers):
+            val[-lo % p::p] *= c
+        if cofactor_phi is None:
+            cofactor_phi = val[1:len(cofactors) + 1].copy()
+        first = max(root + 1, lo)
+        # uint32 holds every n <= SIEVE_LIMIT, and halves the temporary
+        primes = np.flatnonzero(val[first - lo:] == np.arange(first, hi + 1, dtype=np.uint32))
+        val[primes + (first - lo)] -= 1
+        primes = primes[: np.searchsorted(primes, half - first, side="right")]
+        large[found:found + len(primes)] = primes + first
+        found += len(primes)
+        del primes
+        known = large[:found]
+        starts = np.searchsorted(known, -(-lo // cofactors))
+        counts = np.searchsorted(known, hi // cofactors, side="right") - starts
+        # cofactors[i] * p is in the block for the counts[i] primes p from
+        # known[starts[i]] on
+        at = np.repeat((starts - np.cumsum(counts) + counts).astype(np.int32), counts)
+        at += np.arange(len(at), dtype=np.int32)
+        index = known[at]
+        del at
+        index *= np.repeat(cofactors, counts)
+        index -= lo
+        val[index] -= np.repeat(cofactor_phi, counts)
+        del index
+        if lo == 1:
+            val[0] = convention.value_at_one
+        yield lo, val
+
+
+def totient_sieve(
+    max_n: int, convention: Convention = Convention.MODERN
+) -> TotientTable:
+    """Totient table for 1..max_n, filled from the blocks of
+    _totient_blocks; a max_n <= _BLOCK is one block, kept as it is.
+    Total work is O(max_n log log max_n).
+    """
+    _check_table_size(max_n)
     # MemoryError from the allocation is the resource-failure signal.
-    phi = np.arange(max_n + 1, dtype=np.uint64)
-    if max_n >= 2:
-        small, large = _primes_split_at_root(max_n)
-        if len(small):  # max_n >= 4
-            phi[2::2] >>= 1
-        for p in small[1:].tolist():
-            stride = phi[p::p]
-            stride -= stride // p
-        # phi[j] is final now for every cofactor j, and phi[j * p] is
-        # phi(j) * p; phi[1] must still be 1 here
-        for j, ps in _large_prime_cofactors(max_n, large):
-            phi[ps * j] -= phi[j]
-    phi[1] = convention.value_at_one
+    if max_n <= _BLOCK:
+        ((_, phi),) = _totient_blocks(max_n, convention)
+    else:
+        phi = np.empty(max_n, dtype=np.uint64)
+        for lo, block in _totient_blocks(max_n, convention):
+            phi[lo - 1:lo - 1 + len(block)] = block
     phi.flags.writeable = False
-    return TotientTable(max_n=max_n, convention=convention, values=phi[1:])
+    return TotientTable(max_n=max_n, convention=convention, values=phi)
 
 
 @dataclass(frozen=True)
@@ -158,12 +232,17 @@ def cumulative_counts(checkpoints: Sequence[int]) -> list[CumulativeCountRow]:
         raise ValueError(f"checkpoints must be positive, got {checkpoints[0]}")
     if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
         raise ValueError("checkpoints must be strictly ascending")
-    table = totient_sieve(checkpoints[-1], Convention.EULER)
-    running = np.cumsum(table.values, dtype=np.uint64)
-    return [
-        CumulativeCountRow(max_denominator=d, fraction_count=int(running[d - 1]))
-        for d in checkpoints
-    ]
+    rows, pending = [], iter(checkpoints)
+    d = next(pending)
+    total = 0  # sum of totient(k) for k below the block in hand
+    for lo, values in _totient_blocks(checkpoints[-1], Convention.EULER):
+        running = np.cumsum(values, dtype=np.uint64)
+        while d is not None and d < lo + len(values):
+            rows.append(CumulativeCountRow(
+                max_denominator=d, fraction_count=total + int(running[d - lo])))
+            d = next(pending, None)
+        total += int(running[-1])
+    return rows
 
 
 @dataclass(frozen=True)

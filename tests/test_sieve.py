@@ -1,3 +1,5 @@
+from math import isqrt
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,12 +10,14 @@ from totient_lab import (
     Convention,
     TotientTable,
     bench_totient_methods,
+    count_by_exclusion,
     cumulative_counts,
     primes_up_to,
     totient,
     totient_sieve,
 )
-from totient_lab.sieve import BENCH_BRUTEFORCE_BOUND
+from totient_lab import sieve
+from totient_lab.sieve import BENCH_BRUTEFORCE_BOUND, _BLOCK, _totient_blocks
 from reference_values import (
     CUMULATIVE_ERRATA,
     CUMULATIVE_PRINTED,
@@ -48,6 +52,8 @@ class TestTotientSieve:
     def test_single_entry_by_convention(self):
         assert totient_sieve(1, MODERN).values.tolist() == [1]
         assert totient_sieve(1, EULER).values.tolist() == [0]
+        assert [(lo, v.tolist()) for lo, v in _totient_blocks(1, MODERN)] == [(1, [1])]
+        assert [(lo, v.tolist()) for lo, v in _totient_blocks(1, EULER)] == [(1, [0])]
 
     def test_prime_entries(self):
         table = totient_sieve(2000, MODERN)
@@ -106,6 +112,113 @@ class TestTotientSieve:
         table = totient_sieve(10**7, MODERN)
         for n in sampled_entries(10**7, seed=20071):
             assert table.phi(n) == totient(n, MODERN), f"n={n}"
+
+
+def whole_table_totients(max_n: int, convention: Convention) -> np.ndarray:
+    """The earlier whole-table kernel, kept as an oracle for the blocks:
+    value -= value // p over the stride of each prime p <= isqrt(max_n),
+    then value[j * p] -= value[j] for each cofactor j and each prime
+    p > isqrt(max_n) with j * p <= max_n."""
+    phi = np.arange(max_n + 1, dtype=np.uint64)
+    primes = primes_up_to(max_n)
+    root = isqrt(max_n)
+    for p in primes[primes <= root].tolist():
+        stride = phi[p::p]
+        stride -= stride // p
+    large = primes[primes > root]
+    for j in range(1, max_n // (root + 1) + 1):
+        ps = large[: np.searchsorted(large, max_n // j, side="right")]
+        phi[ps * j] -= phi[j]
+    phi[1] = convention.value_at_one
+    return phi[1:]
+
+
+def first_difference(values: np.ndarray, expected: np.ndarray) -> str | None:
+    """None when the tables are equal, else where they first differ."""
+    if len(values) != len(expected):
+        return f"length {len(values)} != {len(expected)}"
+    bad = np.flatnonzero(values != expected)
+    if bad.size:
+        n = int(bad[0]) + 1
+        return f"n={n}: {values[n - 1]} != {expected[n - 1]}"
+    return None
+
+
+#: Table sizes at the seams of the blocks, and on both sides of q*q for the
+#: primes q nearest isqrt(_BLOCK), where the primes <= isqrt(max_n) gain one
+#: while the table is one block (q = 353, 359) or two (q = 367, 373).
+BLOCK_EDGE_SIZES = sorted(
+    {_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK - 1, 2 * _BLOCK + 1}
+    | {q * q + d for q in (353, 359, 367, 373) for d in (-1, 0, 1)}
+)
+
+
+class TestTotientBlocks:
+    def test_block_holds_every_cofactor_at_the_limit(self):
+        assert _BLOCK >= isqrt(SIEVE_LIMIT)
+
+    @pytest.mark.parametrize("convention", [EULER, MODERN])
+    def test_matches_whole_table_kernel_to_2000(self, convention):
+        for max_n in range(1, 2001):
+            values = totient_sieve(max_n, convention).values
+            difference = first_difference(values, whole_table_totients(max_n, convention))
+            assert difference is None, f"max_n={max_n}: {difference}"
+
+    @pytest.mark.parametrize("max_n", BLOCK_EDGE_SIZES)
+    def test_blocks_match_whole_table_kernel_at_block_edges(self, max_n):
+        blocks = list(_totient_blocks(max_n, MODERN))
+        assert [lo for lo, _ in blocks] == list(range(1, max_n + 1, _BLOCK))
+        assert all(len(values) == _BLOCK for _, values in blocks[:-1])
+        values = np.concatenate([values for _, values in blocks])
+        expected = whole_table_totients(max_n, MODERN)
+        assert first_difference(values, expected) is None
+        table = totient_sieve(max_n, MODERN)
+        assert first_difference(table.values, expected) is None
+        assert not table.values.flags.writeable
+
+    @pytest.mark.parametrize("max_n", [1, 2, 3, 4, 50, 4099, 3 * 4099 + 1, 10**5 + 3])
+    def test_matches_whole_table_kernel_with_other_block_sizes(self, monkeypatch, max_n):
+        # 4099 is prime, so no stride lines up with the seams; a block of
+        # isqrt(max_n) + 1 entries is the least that holds every cofactor
+        expected = whole_table_totients(max_n, EULER)
+        for block in (4099, isqrt(max_n) + 1):
+            monkeypatch.setattr(sieve, "_BLOCK", block)
+            difference = first_difference(totient_sieve(max_n, EULER).values, expected)
+            assert difference is None, f"_BLOCK={block}: {difference}"
+
+    def test_prime_count_bound_holds(self):
+        primes = primes_up_to(10**6)
+        for x in [*range(2001), *range(2001, 10**6 + 1, 997)]:
+            count = int(np.searchsorted(primes, x, side="right"))
+            assert sieve._prime_count_bound(x) >= count, f"x={x}"
+
+    def test_matches_closed_form_at_sampled_entries_of_3e6(self):
+        table = totient_sieve(3 * 10**6, MODERN)
+        for n in sampled_entries(3 * 10**6, seed=1994):
+            assert table.phi(n) == totient(n, MODERN), f"n={n}"
+
+    def test_refused_when_the_first_block_is_asked_for(self):
+        blocks = _totient_blocks(0, MODERN)
+        with pytest.raises(ValueError, match="positive"):
+            next(blocks)
+        with pytest.raises(ValueError, match="limit"):
+            next(_totient_blocks(SIEVE_LIMIT + 1, MODERN))
+
+    @pytest.mark.parametrize("D", [2 * _BLOCK - 2, 2 * _BLOCK, 2 * _BLOCK + 1, 2 * _BLOCK + 2])
+    def test_exclusion_count_with_half_of_d_at_a_block_seam(self, D):
+        report = count_by_exclusion(D)
+        assert report.consistent(), report.first_broken_identity()
+        phi = whole_table_totients(D, EULER)
+        k = np.arange(2, D // 2 + 1, dtype=np.uint64)
+        assert report.excluded == int(np.dot(D // k - 1, phi[1:D // 2]))
+        assert report.count_by_totient_sum == int(phi.sum())
+
+    def test_cumulative_counts_across_block_seams(self):
+        checkpoints = [2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 2 * _BLOCK + 1, 3 * _BLOCK]
+        running = np.cumsum(whole_table_totients(checkpoints[-1], EULER))
+        rows = cumulative_counts(checkpoints)
+        assert [r.max_denominator for r in rows] == checkpoints
+        assert [r.fraction_count for r in rows] == [int(running[d - 1]) for d in checkpoints]
 
 
 def weighted_sum(values) -> int:

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import totient_lab
+from totient_lab import SIEVE_LIMIT
 
 ENV = {**os.environ, "PYTHONPATH": str(Path(totient_lab.__file__).resolve().parents[1])}
 CLI = [sys.executable, "-m", "totient_lab.cli"]
@@ -58,15 +59,26 @@ class TestFlatMemory:
         assert large - small < 8 * 2**20, f"peak RSS {small} -> {large} bytes"
 
     def test_table_csv_peak_rss_per_entry(self):
-        # the totient table itself holds 8 bytes per entry
+        # the sieve's blocks are written as they come; what grows is
+        # mostly its buffer of the primes <= N/2, 4 bytes each
         per_entry = peak_rss_per_entry("table", "--format", "csv")
-        assert per_entry <= 32, f"{per_entry:.1f} bytes per entry"
+        assert per_entry <= 2, f"{per_entry:.1f} bytes per entry"
 
     def test_count_exclusion_peak_rss_per_entry(self):
-        # the totient table holds 8 bytes per entry and the exclusion terms
-        # 8 per entry of its half
+        # the counts are reduced a block of the sieve at a time; what grows
+        # is mostly its buffer of the primes <= D/2, 4 bytes each
         per_entry = peak_rss_per_entry("count", "--method", "exclusion")
-        assert per_entry <= 16, f"{per_entry:.1f} bytes per entry"
+        assert per_entry <= 2, f"{per_entry:.1f} bytes per entry"
+
+    def test_count_sum_peak_rss_per_entry(self):
+        # as for exclusion: one block of the sieve and the primes <= D/2
+        per_entry = peak_rss_per_entry("count", "--method", "sum")
+        assert per_entry <= 2, f"{per_entry:.1f} bytes per entry"
+
+    def test_count_at_the_table_limit_in_bounded_memory(self):
+        # a whole table would take 800 MB here
+        peak = peak_rss_bytes("count", str(SIEVE_LIMIT), "--method", "sum")
+        assert peak < 256 * 2**20, f"peak RSS {peak / 2**20:.0f} MiB"
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_series_peak_rss_per_entry(self, fmt):
