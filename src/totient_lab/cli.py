@@ -100,27 +100,56 @@ def _lib_errors(fn):
     return wrapper
 
 
-def _render(row: str, sep: str, columns: tuple[np.ndarray, ...]) -> bytes:
-    """sep.join(starmap(row.format, zip(*columns))) as bytes, for a row
-    template whose fields are bare {} or {i} and columns of non-negative
-    integers, one row per index.
-
-    The rows are laid out in a byte matrix, one row and its separator per
-    line: the template's literal text, and each field's digits, got by
-    integer division in the narrowest unsigned dtype that holds the
-    column's maximum, padded with leading zeros to that maximum's width.  A
-    mask drops the leading zeros and the last separator.
-    """
-    pieces: list[bytes | int] = []  # literal text, or the index of a column
+def _pieces(template: str) -> list[bytes | int]:
+    """A template's literal text, as bytes, and its fields, bare {} or {i},
+    as column indices, in order."""
+    pieces: list[bytes | int] = []
     auto = 0
-    for literal, field, _, _ in string.Formatter().parse(row):
+    for literal, field, _, _ in string.Formatter().parse(template):
         if literal:
             pieces.append(literal.encode())
         if field is not None:
             if field == "":
                 field, auto = auto, auto + 1
             pieces.append(int(field))
-    pieces.append(sep.encode())
+    return pieces
+
+
+def _render(row: str, sep: str, columns: tuple[np.ndarray, ...],
+            joiner: str | None = None) -> bytes:
+    """sep.join(starmap(row.format, zip(*columns))) as bytes, for a row
+    template whose fields are bare {} or {i} and columns of non-negative
+    integers, one row per index.
+
+    With a joiner, the rows are groups: columns ends with (edges, members),
+    group g holding members[edges[g]:edges[g + 1]], and each column before
+    them holds one value per group.  Row's fields are those values and,
+    after them, the group's members joined by the joiner, a template of the
+    values too.
+
+    The output is laid out in a byte matrix, one row and its separator per
+    line, or with a joiner one member per line: the literal text, and each
+    field's digits, got by integer division in the narrowest unsigned dtype
+    that holds the column's maximum, padded with leading zeros to that
+    maximum's width.  A mask drops the leading zeros and the last
+    separator.  With a joiner it also keeps the text before the members'
+    field on a group's first member only, the joiner on every member but
+    the last, and the text after the field and the separator on the last.
+    """
+    pieces, separator = _pieces(row), [sep.encode()]
+    if joiner is None:
+        parts = [(pieces + separator, None)]  # pieces, and the rows that keep them
+    else:
+        *per_group, edges, members = columns
+        first = np.zeros(len(members), dtype=bool)
+        first[edges[:-1]] = True
+        last = np.zeros(len(members), dtype=bool)
+        last[edges[1:] - 1] = True
+        columns = (*(np.repeat(c, np.diff(edges)) for c in per_group), members)
+        at = pieces.index(len(per_group))  # the members' field
+        parts = [(pieces[:at], first), (pieces[at:at + 1], None), (_pieces(joiner), ~last),
+                 (pieces[at + 1:] + separator, last)]
+    pieces = [p for part, _ in parts for p in part]
     tops = {p: int(columns[p].max()) for p in pieces if isinstance(p, int)}
     widths = {p: len(str(top)) for p, top in tops.items()}
     # the literal text, with a zero byte in place of every digit
@@ -129,45 +158,51 @@ def _render(row: str, sep: str, columns: tuple[np.ndarray, ...]) -> bytes:
     matrix[:] = np.frombuffer(template, dtype=np.uint8)
     keep = np.ones(matrix.shape, dtype=bool)
     end = 0  # of the piece in hand, in the matrix's columns
-    for p in pieces:
-        if isinstance(p, bytes):
-            end += len(p)
-            continue
-        end += widths[p]
-        values = columns[p].astype(np.min_scalar_type(tops[p]))
-        rest = values
-        for k in range(1, widths[p] + 1):  # k-th digit from the right
-            rest, digit = np.divmod(rest, 10)
-            digit += ord("0")
-            matrix[:, end - k] = digit
-            if k < widths[p]:  # the digit left of it is a leading zero below 10**k
-                keep[:, end - k - 1] = values >= 10**k
+    for part, rows in parts:
+        start = end
+        for p in part:
+            if isinstance(p, bytes):
+                end += len(p)
+                continue
+            end += widths[p]
+            values = columns[p].astype(np.min_scalar_type(tops[p]))
+            rest = values
+            for k in range(1, widths[p] + 1):  # k-th digit from the right
+                rest, digit = np.divmod(rest, 10)
+                digit += ord("0")
+                matrix[:, end - k] = digit
+                if k < widths[p]:  # the digit left of it is a leading zero below 10**k
+                    keep[:, end - k - 1] = values >= 10**k
+        if rows is not None:
+            keep[:, start:end] &= rows[:, None]
     keep[-1, len(template) - len(sep):] = False
     return matrix[keep].tobytes()
 
 
-def _write_rows(layout: tuple[str, str, str, str], chunks: Iterable, **fields) -> int:
-    """Write a layout (head, row template, separator, tail): the head, the
-    rows joined by the separator, then the tail; return the number of rows
-    written.  Head and tail are templates filled from fields.
+def _write_rows(layout: tuple[str, ...], chunks: Iterable, **fields) -> int:
+    """Write a layout (head, row template, separator, tail), or one of
+    grouped rows (head, row template, separator, tail, joiner): the head,
+    the rows joined by the separator, then the tail; return the number of
+    rows written.  Head and tail are templates filled from fields.
 
     chunks yields the rows a chunk at a time: a tuple of numpy integer
-    columns, rendered by _render, or any other iterable of row tuples, each
-    rendered by row.format(*r).  Each chunk is rendered and written before
-    the next is asked for, so memory stays flat however many rows there are.
+    columns, rendered by _render (with the layout's joiner, if it has one),
+    or any other iterable of row tuples, each rendered by row.format(*r).
+    Each chunk is rendered and written before the next is asked for, so
+    memory stays flat however many rows there are.
     The head goes out with the first chunk, so nothing is written before
     the first row: a producer that refuses its input when that row is
     asked for leaves stdout empty.  A reader that closes the pipe early
     ends the command with exit code 0 and nothing on stderr, as it did
     when the whole output went out in one write.
     """
-    head, row, sep, tail = layout
+    head, row, sep, tail, *joiner = layout
     before = head.format(**fields)  # what goes out ahead of the next chunk
     written = 0
     try:
         for chunk in chunks:
             if isinstance(chunk, tuple):
-                text, rows = _render(row, sep, chunk).decode(), len(chunk[0])
+                text, rows = _render(row, sep, chunk, *joiner).decode(), len(chunk[0])
             else:
                 text = list(starmap(row.format, chunk))
                 text, rows = sep.join(text), len(text)
@@ -398,7 +433,8 @@ _SERIES_LAYOUTS = {
 
 #: Per format: head, row template for (radical, num, den, members), row
 #: separator, tail, and the template of (radical, num, den) that joins a
-#: group's members.  csv writes one line per member.
+#: group's members: rows grouped as _render lays them out, one chunk of
+#: _coefficient_groups at a time.  csv writes one line per member.
 _GROUPED_LAYOUTS = {
     "plain": ("", "radical {}: coefficient {}/{}, members {}", "\n", "\n", " "),
     "csv": ("radical,coefficient,member\n", "{},{}/{},{}", "\n", "\n", "\n{},{}/{},"),
@@ -423,15 +459,10 @@ _GROUPED_LAYOUTS = {
 def cmd_series(max_n: int, grouped: bool, fmt: str) -> None:
     """Series coefficients: totient(n) and the reduced rational totient(n)/n
     for n = 2..MAX_N."""
-    if not grouped:
+    if grouped:
+        _write_rows(_GROUPED_LAYOUTS[fmt], _coefficient_groups(max_n))
+    else:
         _write_rows(_SERIES_LAYOUTS[fmt], _coefficient_blocks(max_n))
-        return
-    *layout, joiner = _GROUPED_LAYOUTS[fmt]
-    _write_rows(layout, (
-        ((r, num, den, joiner.format(r, num, den).join(map(str, members)))
-         for r, num, den, members in chunk)
-        for chunk in _coefficient_groups(max_n)
-    ))
 
 
 #: bench's csv layout, for the fields of each MethodResult.

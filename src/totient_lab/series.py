@@ -4,8 +4,10 @@ grouping of equal coefficients by squarefree kernel.
 
 Coefficients are exact rationals end to end (grouping by equality demands
 exactness).  They are reduced in integer numpy arithmetic, num/den =
-(phi/g)/(n/g) with g = gcd(phi, n), a chunk at a time; the CLI writes them
-as they come, and only the library's lists hold fractions.Fraction values.
+(phi/g)/(n/g) with g = gcd(phi, n), a chunk at a time, and leave this
+module as uint64 arrays; the CLI renders those arrays as they come.
+fractions.Fraction values are built only for the library's lists, by
+integrated_series_coefficients and group_by_coefficient.
 """
 
 from __future__ import annotations
@@ -18,15 +20,16 @@ import numpy as np
 
 from .core import Convention, factorize, totient
 from .sieve import (
-    SIEVE_LIMIT,
+    _check_table_size,
     _large_prime_cofactors,
     _primes_split_at_root,
+    _totient_blocks,
     totient_sieve,
 )
 
-#: Rows reduced at a time; when grouping, the most members converted to
-#: ints at a time, unless one group alone holds more.
-_CHUNK = 1 << 16
+#: Rows reduced at a time; when grouping, the most members a chunk of
+#: groups holds, unless one group alone holds more.
+_CHUNK = 1 << 14
 
 
 def phi_over_n(n: int) -> Fraction:
@@ -66,16 +69,17 @@ def _reduced(phi: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _coefficient_blocks(max_n: int) -> Iterator[tuple[np.ndarray, ...]]:
-    """(n, totient(n), num, den) as uint64 columns for n = 2..max_n, _CHUNK
-    rows at a time, num/den being totient(n)/n in lowest terms.  max_n is
-    checked and the one sieve built when the first block is asked for."""
+    """(n, totient(n), num, den) as uint64 columns for n = 2..max_n, at most
+    _CHUNK rows at a time, num/den being totient(n)/n in lowest terms.  The
+    totients are read from the sieve's blocks as they come, so no table is
+    held; max_n is checked when the first block is asked for."""
     if max_n < 2:
         raise ValueError(f"series needs max_n >= 2, got {max_n}")
-    phi = totient_sieve(max_n, Convention.EULER).values
-    for start in range(2, max_n + 1, _CHUNK):
-        n = np.arange(start, min(start + _CHUNK, max_n + 1), dtype=np.uint64)
-        block = phi[start - 1:start - 1 + len(n)]
-        yield (n, block, *_reduced(block, n))
+    for lo, phi in _totient_blocks(max_n, Convention.EULER):
+        for start in range(max(lo, 2), lo + len(phi), _CHUNK):
+            block = phi[start - lo:start - lo + _CHUNK]
+            n = np.arange(start, start + len(block), dtype=np.uint64)
+            yield (n, block, *_reduced(block, n))
 
 
 def integrated_series_coefficients(max_n: int) -> list[Fraction]:
@@ -101,8 +105,9 @@ class CoefficientGroup:
 
 
 def _radical_table(max_n: int) -> np.ndarray:
-    """rad[n] = product of the distinct primes dividing n, for 0..max_n."""
-    rad = np.ones(max_n + 1, dtype=np.int64)
+    """rad[n] = product of the distinct primes dividing n, for 0..max_n, as
+    int32, which holds every radical up to SIEVE_LIMIT at half the bytes."""
+    rad = np.ones(max_n + 1, dtype=np.int32)
     small, large = _primes_split_at_root(max_n)
     for p in small.tolist():
         rad[p::p] *= p
@@ -123,45 +128,47 @@ def _group_chunks(bounds: np.ndarray) -> Iterator[tuple[int, int]]:
         first = end
 
 
-def _coefficient_groups(max_n: int) -> Iterator[Iterator[tuple[int, int, int, list[int]]]]:
-    """(radical, num, den, members) for each group of 2..max_n with equal
-    totient(n)/n = num/den in lowest terms, ascending by radical and each
-    group's members ascending, in one iterator per chunk of _group_chunks.
-    As in _coefficient_blocks, the arrays are built when the first chunk is
-    asked for."""
+def _coefficient_groups(max_n: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """The groups of 2..max_n with equal totient(n)/n, ascending by radical,
+    a chunk of _group_chunks at a time: (radicals, nums, dens, edges,
+    members), where num/den = totient(r)/r in lowest terms for each radical
+    r and the group of radicals[g] holds members[edges[g]:edges[g + 1]],
+    ascending.  As in _coefficient_blocks, the arrays are built when the
+    first chunk is asked for."""
     if max_n < 2:
         raise ValueError(f"grouping needs max_n >= 2, got {max_n}")
-    if max_n > SIEVE_LIMIT:
-        raise ValueError(f"max_n={max_n} exceeds the table limit {SIEVE_LIMIT}")
+    _check_table_size(max_n)
     rad = _radical_table(max_n)[2:]
     sizes = np.bincount(rad)  # sizes[r] = how many n have radical r
     radicals = np.flatnonzero(sizes)  # the squarefree r in 2..max_n
+    np.cumsum(sizes, out=sizes)  # now how many n have radical <= r
     bounds = np.zeros(len(radicals) + 1, dtype=np.int64)
-    np.cumsum(sizes[radicals], out=bounds[1:])
+    np.take(sizes, radicals, out=bounds[1:])
     del sizes
     # stable, so each group's members stay ascending
     order = np.argsort(rad, kind="stable")
     del rad
-    # last, so that the sieve's build does not overlap the arrays deleted above
-    phi = totient_sieve(max_n, Convention.EULER).values[radicals - 1]
+    # totient(r) gathered from the sieve's blocks, so no whole table is held
+    phi = np.empty(len(radicals), dtype=np.uint64)
+    for lo, block in _totient_blocks(max_n, Convention.EULER):
+        a, b = np.searchsorted(radicals, (lo, lo + len(block)))
+        phi[a:b] = block[radicals[a:b] - lo]
     for first, end in _group_chunks(bounds):
         r = radicals[first:end].astype(np.uint64)
-        nums, dens = _reduced(phi[first:end], r)
         edges = bounds[first:end + 1]
-        members = (order[edges[0]:edges[-1]] + 2).tolist()
-        edges = (edges - edges[0]).tolist()
-        yield (
-            (radical, num, den, members[a:b])
-            for radical, num, den, a, b in zip(r.tolist(), nums.tolist(), dens.tolist(),
-                                               edges, edges[1:])
-        )
+        yield (r, *_reduced(phi[first:end], r), edges - edges[0],
+               order[edges[0]:edges[-1]] + 2)
 
 
 def group_by_coefficient(max_n: int) -> list[CoefficientGroup]:
     """Partition 2..max_n into groups of equal totient(n)/n, keyed by
     radical, ascending."""
-    return [
-        CoefficientGroup(coefficient=Fraction(num, den), radical=r, members=tuple(members))
-        for chunk in _coefficient_groups(max_n)
-        for r, num, den, members in chunk
-    ]
+    groups = []
+    for radicals, nums, dens, edges, members in _coefficient_groups(max_n):
+        members, edges = members.tolist(), edges.tolist()
+        groups += [
+            CoefficientGroup(coefficient=Fraction(num, den), radical=r, members=tuple(members[a:b]))
+            for r, num, den, a, b in zip(radicals.tolist(), nums.tolist(), dens.tolist(),
+                                         edges, edges[1:])
+        ]
+    return groups

@@ -117,10 +117,7 @@ def _check_table_size(max_n: int) -> None:
     if max_n < 1:
         raise ValueError(f"max_n must be a positive integer, got {max_n}")
     if max_n > SIEVE_LIMIT:
-        raise ValueError(
-            f"max_n={max_n} exceeds the documented table limit {SIEVE_LIMIT} "
-            f"(about 800 MB of values)"
-        )
+        raise ValueError(f"max_n={max_n} exceeds the table limit {SIEVE_LIMIT}")
 
 
 def _totient_blocks(

@@ -1,3 +1,4 @@
+import functools
 import json
 from fractions import Fraction
 from itertools import starmap
@@ -110,6 +111,59 @@ class TestRender:
         columns = (np.arange(top - min(top, 12), top + 1, dtype=np.uint64),)
         expected = "\n".join(map(str, columns[0].tolist()))
         assert cli._render("{}", "\n", columns) == expected.encode()
+
+
+def grouped_rows(layout: tuple[str, ...], groups) -> str:
+    """The rows of (radical, num, den, members) groups as str.format writes
+    them in a grouped layout: each group's members joined by the joiner,
+    filled from the group's values."""
+    _, row, sep, _, joiner = layout
+    return sep.join(
+        row.format(r, num, den, joiner.format(r, num, den).join(map(str, members)))
+        for r, num, den, members in groups
+    )
+
+
+@functools.cache
+def radical_dict_groups(max_n: int) -> list[tuple[int, int, int, list[int]]]:
+    """(radical, num, den, members) for 2..max_n, grouped in a dict by
+    trial-division radicals, num/den = phi_over_n(radical)."""
+    by_radical: dict[int, list[int]] = {}
+    for n in range(2, max_n + 1):
+        by_radical.setdefault(radical(n), []).append(n)
+    return [(r, phi_over_n(r).numerator, phi_over_n(r).denominator, members)
+            for r, members in sorted(by_radical.items())]
+
+
+class TestGroupedRender:
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+    def test_matches_str_format_across_digit_widths(self, fmt, dtype):
+        # group values and members on both sides of 9/10 and 99/100, in
+        # groups of one to four members
+        values = np.array([9, 10, 99, 100, 8, 11, 98, 101, 0, 1], dtype=dtype)
+        sizes = [1, 2, 3, 4, 1, 3, 2, 1, 4, 1]
+        edges = np.concatenate(([0], np.cumsum(sizes)))
+        members = np.resize(np.roll(values, 3), edges[-1])
+        columns = tuple(np.roll(values, shift) for shift in range(3))
+        groups = [(*(int(c[g]) for c in columns), members[edges[g]:edges[g + 1]].tolist())
+                  for g in range(len(sizes))]
+        layout = cli._GROUPED_LAYOUTS[fmt]
+        got = cli._render(layout[1], layout[2], (*columns, edges, members), layout[4])
+        assert got == grouped_rows(layout, groups).encode()
+
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    @pytest.mark.parametrize("max_n", [2, 3, 64, 10**4])
+    @pytest.mark.parametrize("chunk", [1, 3, 7, series._CHUNK])
+    def test_series_matches_str_format(self, runner, monkeypatch, fmt, max_n, chunk):
+        # chunks of 1, 3 and 7 members are cut between groups all through
+        # the output, and a group of more members than that (radical 2 has
+        # 13 at 10**4) fills a chunk of its own
+        monkeypatch.setattr(series, "_CHUNK", chunk)
+        layout = cli._GROUPED_LAYOUTS[fmt]
+        expected = layout[0] + grouped_rows(layout, radical_dict_groups(max_n)) + layout[3]
+        got = run_ok(runner, ["series", str(max_n), "--grouped", "--format", fmt])
+        assert_same_text(got, expected)
 
 
 class TestNumericParsing:
@@ -424,15 +478,19 @@ class TestSeriesCommand:
 
     @pytest.mark.parametrize("args", [["series", "100"], ["series", "100", "--grouped"]])
     def test_one_sieve_per_request(self, runner, monkeypatch, args):
+        # one pass over the sieve's blocks, and no whole table
         calls = []
 
-        def counted(*a, **kw):
-            calls.append(a)
-            return totient_sieve(*a, **kw)
+        def counted(route):
+            def call(*a, **kw):
+                calls.append(route.__name__)
+                return route(*a, **kw)
+            return call
 
-        monkeypatch.setattr(series, "totient_sieve", counted)
+        for route in (series._totient_blocks, series.totient_sieve):
+            monkeypatch.setattr(series, route.__name__, counted(route))
         run_ok(runner, args)
-        assert len(calls) == 1, calls
+        assert calls == ["_totient_blocks"]
 
 
 @pytest.fixture(scope="module")

@@ -15,7 +15,9 @@ from totient_lab import (
     series_coefficients,
     totient,
 )
-from totient_lab.series import _CHUNK, _group_chunks, _radical_table
+import totient_lab.series as series
+import totient_lab.sieve as sieve
+from totient_lab.series import _CHUNK, _coefficient_blocks, _group_chunks, _radical_table
 from reference_values import ROOT_EDGE_SIZES, sampled_entries
 
 EULER = Convention.EULER
@@ -112,6 +114,32 @@ class TestIntegratedSeries:
         for n, coeff in enumerate(coefficients, start=2):
             assert coeff == phi_over_n(n)
 
+    @pytest.mark.parametrize("block,chunk", [(4099, 1000), (4099, _CHUNK), (sieve._BLOCK, 7)])
+    def test_rows_across_block_and_chunk_seams(self, monkeypatch, block, chunk):
+        # the rows come from the sieve's blocks, cut in chunks that do not
+        # line up with them
+        monkeypatch.setattr(sieve, "_BLOCK", block)
+        monkeypatch.setattr(series, "_CHUNK", chunk)
+        max_n = 3 * 4099 + 1
+        blocks = list(_coefficient_blocks(max_n))
+        assert max(len(n) for n, *_ in blocks) <= chunk
+        n, phi, num, den = (np.concatenate(column).tolist() for column in zip(*blocks))
+        assert n == list(range(2, max_n + 1))
+        assert phi == [totient(k, EULER) for k in n]
+        reduced = [Fraction(p, k) for p, k in zip(phi, n)]
+        assert list(zip(num, den)) == [(c.numerator, c.denominator) for c in reduced]
+
+
+def assert_groups_match_factorized_radicals(max_n: int) -> None:
+    """group_by_coefficient(max_n) equals 2..max_n grouped in a dict by
+    trial-division radicals, each with coefficient phi_over_n(radical)."""
+    by_radical: dict[int, list[int]] = {}
+    for n in range(2, max_n + 1):
+        by_radical.setdefault(radical(n), []).append(n)
+    assert [(g.radical, g.coefficient, g.members) for g in group_by_coefficient(max_n)] == [
+        (r, phi_over_n(r), tuple(members)) for r, members in sorted(by_radical.items())
+    ]
+
 
 class TestGroupByCoefficient:
     def test_powers_of_two(self):
@@ -140,12 +168,18 @@ class TestGroupByCoefficient:
 
     @pytest.mark.parametrize("max_n", [2, 3, 4, 5, 48, 49, 50, 121])
     def test_matches_grouping_by_factorized_radical(self, max_n):
-        by_radical: dict[int, list[int]] = {}
-        for n in range(2, max_n + 1):
-            by_radical.setdefault(radical(n), []).append(n)
-        assert [(g.radical, g.coefficient, g.members) for g in group_by_coefficient(max_n)] == [
-            (r, phi_over_n(r), tuple(members)) for r, members in sorted(by_radical.items())
-        ]
+        assert_groups_match_factorized_radicals(max_n)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7, _CHUNK])
+    def test_matches_grouping_by_factorized_radical_to_1e4_in_chunks(self, monkeypatch, chunk):
+        # chunks of at most 1, 3 or 7 members, unless one group holds more
+        monkeypatch.setattr(series, "_CHUNK", chunk)
+        assert_groups_match_factorized_radicals(10**4)
+
+    def test_matches_grouping_by_factorized_radical_across_sieve_blocks(self, monkeypatch):
+        # totient(r) is gathered from four blocks of the sieve
+        monkeypatch.setattr(sieve, "_BLOCK", 4099)
+        assert_groups_match_factorized_radicals(3 * 4099 + 1)
 
     def test_sorted_by_radical(self):
         radicals = [g.radical for g in group_by_coefficient(200)]

@@ -82,18 +82,20 @@ class TestFlatMemory:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_series_peak_rss_per_entry(self, fmt):
-        # the totient table holds 8 bytes per entry; the coefficients are
-        # reduced and written a chunk at a time
+        # the coefficients are reduced and written a chunk of a block of the
+        # sieve at a time; what grows is mostly the sieve's buffer of the
+        # primes <= N/2, 4 bytes each
         per_entry = peak_rss_per_entry("series", "--format", fmt)
-        assert per_entry <= 32, f"{per_entry:.1f} bytes per entry"
+        assert per_entry <= 2, f"{per_entry:.1f} bytes per entry"
 
     @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
     def test_series_grouped_peak_rss_per_entry(self, fmt):
-        # the radical table and its stable argsort hold 8 bytes per entry
-        # each and the per-radical arrays about 15; the groups are written
-        # a chunk of at most 65,536 members at a time
+        # at the stable argsort, the radical table holds 4 bytes per entry,
+        # the argsort 8 and its merge buffer about 4, and the per-radical
+        # arrays about 10; the groups are rendered and written about 16,384
+        # members at a time
         per_entry = peak_rss_per_entry("series", "--grouped", "--format", fmt)
-        assert per_entry <= 80, f"{per_entry:.1f} bytes per entry"
+        assert per_entry <= 32, f"{per_entry:.1f} bytes per entry"
 
 
 @pytest.mark.parametrize("args", [
