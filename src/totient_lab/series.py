@@ -4,8 +4,9 @@ grouping of equal coefficients by squarefree kernel.
 
 Coefficients are exact rationals end to end (grouping by equality demands
 exactness).  They are reduced in integer numpy arithmetic, num/den =
-(phi/g)/(n/g) with g = gcd(phi, n), a chunk at a time, and leave this
-module as uint64 arrays; the CLI renders those arrays as they come.
+(phi/g)/(n/g) with g = gcd(phi, n), a chunk of the sieve's blocks at a
+time, and the groups are made from the same blocks, with no radical table.
+Both leave this module as integer arrays, rendered by the CLI as they come.
 fractions.Fraction values are built only for the library's lists, by
 integrated_series_coefficients and group_by_coefficient.
 """
@@ -14,18 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import Iterator
 
 import numpy as np
 
 from .core import Convention, factorize, totient
-from .sieve import (
-    _check_table_size,
-    _large_prime_cofactors,
-    _primes_split_at_root,
-    _totient_blocks,
-    totient_sieve,
-)
+from .sieve import _check_table_size, _totient_blocks, primes_up_to, totient_sieve
 
 #: Rows reduced at a time; when grouping, the most members a chunk of
 #: groups holds, unless one group alone holds more.
@@ -104,18 +100,6 @@ class CoefficientGroup:
     members: tuple[int, ...]
 
 
-def _radical_table(max_n: int) -> np.ndarray:
-    """rad[n] = product of the distinct primes dividing n, for 0..max_n, as
-    int32, which holds every radical up to SIEVE_LIMIT at half the bytes."""
-    rad = np.ones(max_n + 1, dtype=np.int32)
-    small, large = _primes_split_at_root(max_n)
-    for p in small.tolist():
-        rad[p::p] *= p
-    for j, ps in _large_prime_cofactors(max_n, large):
-        rad[ps * j] *= ps  # rad(j * p) = rad(j) * p
-    return rad
-
-
 def _group_chunks(bounds: np.ndarray) -> Iterator[tuple[int, int]]:
     """(first, end) group indices of successive chunks, group g holding the
     bounds[g + 1] - bounds[g] members: each chunk takes the groups whose
@@ -128,36 +112,77 @@ def _group_chunks(bounds: np.ndarray) -> Iterator[tuple[int, int]]:
         first = end
 
 
+def _ranges(first: np.ndarray, counts: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """first[i] + j * step[i] for j = 0..counts[i] - 1, for each i in turn."""
+    run = np.repeat(np.cumsum(counts) - counts, counts)  # where each run starts
+    run -= np.arange(len(run))
+    run *= -np.repeat(step, counts)
+    run += np.repeat(first, counts)
+    return run
+
+
+def _cofactors(primes: np.ndarray, max_n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k with k * rad(k) <= max_n, ascending, and their radicals rad(k),
+    as int64; ``primes`` holds the primes <= isqrt(max_n), the only ones
+    such a k can have.  No product exceeds max_n**2, which int64 holds."""
+    ks, rads = np.ones(1, dtype=np.int64), np.ones(1, dtype=np.int64)
+    for p in primes.tolist():
+        # the k found so far have only primes below p: add each k * p**e
+        parts, k, rad = [(ks, rads)], ks, rads * p
+        while (fits := k * rad * p <= max_n).any():
+            k, rad = k[fits] * p, rad[fits]
+            parts.append((k, rad))
+        ks, rads = map(np.concatenate, zip(*parts))
+    order = np.argsort(ks)
+    return ks[order], rads[order]
+
+
 def _coefficient_groups(max_n: int) -> Iterator[tuple[np.ndarray, ...]]:
     """The groups of 2..max_n with equal totient(n)/n, ascending by radical,
     a chunk of _group_chunks at a time: (radicals, nums, dens, edges,
     members), where num/den = totient(r)/r in lowest terms for each radical
     r and the group of radicals[g] holds members[edges[g]:edges[g + 1]],
-    ascending.  As in _coefficient_blocks, the arrays are built when the
-    first chunk is asked for."""
+    ascending.
+
+    n has radical r exactly when n = r * k, r being squarefree and rad(k)
+    dividing r.  Then k * rad(k) <= n, so k is one of the _cofactors of
+    max_n, 2,027 of them at 10**6.  The radicals are taken _CHUNK at a time,
+    [s, e), in the sieve's blocks: the multiples of p * p in [s, e) are not
+    squarefree, and the others pair with each k <= max_n // s whose rad(k)
+    divides them.  Sorted by (r, k), the pairs give the members r * k, and
+    totient(r) is read from the block, so nothing of size max_n is held.
+    max_n is checked when the first chunk is asked for.
+    """
     if max_n < 2:
         raise ValueError(f"grouping needs max_n >= 2, got {max_n}")
     _check_table_size(max_n)
-    rad = _radical_table(max_n)[2:]
-    sizes = np.bincount(rad)  # sizes[r] = how many n have radical r
-    radicals = np.flatnonzero(sizes)  # the squarefree r in 2..max_n
-    np.cumsum(sizes, out=sizes)  # now how many n have radical <= r
-    bounds = np.zeros(len(radicals) + 1, dtype=np.int64)
-    np.take(sizes, radicals, out=bounds[1:])
-    del sizes
-    # stable, so each group's members stay ascending
-    order = np.argsort(rad, kind="stable")
-    del rad
-    # totient(r) gathered from the sieve's blocks, so no whole table is held
-    phi = np.empty(len(radicals), dtype=np.uint64)
-    for lo, block in _totient_blocks(max_n, Convention.EULER):
-        a, b = np.searchsorted(radicals, (lo, lo + len(block)))
-        phi[a:b] = block[radicals[a:b] - lo]
-    for first, end in _group_chunks(bounds):
-        r = radicals[first:end].astype(np.uint64)
-        edges = bounds[first:end + 1]
-        yield (r, *_reduced(phi[first:end], r), edges - edges[0],
-               order[edges[0]:edges[-1]] + 2)
+    primes = primes_up_to(isqrt(max_n))
+    squares = primes * primes
+    ks, rads = _cofactors(primes, max_n)
+    for lo, phi in _totient_blocks(max_n, Convention.EULER):
+        for s in range(max(lo, 2), lo + len(phi), _CHUNK):
+            e = min(s + _CHUNK, lo + len(phi))
+            # the radicals r in [s, e) and the multiples of q, less s
+            q = squares[:np.searchsorted(squares, e - 1, side="right")]
+            above = -(-s // q)  # the least multiple of q from s on, over q
+            squarefree = np.ones(e - s, dtype=bool)
+            squarefree[_ranges(above * q - s, (e - 1) // q - above + 1, q)] = False
+            k = ks[:np.searchsorted(ks, max_n // s, side="right")]
+            rad = rads[:len(k)]
+            above = -(-s // rad)
+            counts = np.minimum(e - 1, max_n // k) // rad - above + 1
+            r, k = _ranges(above * rad - s, counts, rad), np.repeat(k, counts)
+            keep = np.flatnonzero(squarefree[r])
+            order = keep[np.argsort(r[keep], kind="stable")]  # k stays ascending in each r
+            r, members = r[order], (r[order] + s) * k[order]
+            sizes = np.bincount(r, minlength=e - s)
+            radicals = np.flatnonzero(sizes)
+            bounds = np.concatenate(([0], np.cumsum(sizes[radicals])))
+            for first, end in _group_chunks(bounds):
+                g = (radicals[first:end] + s).astype(np.uint64)
+                edges = bounds[first:end + 1]
+                yield (g, *_reduced(phi[radicals[first:end] + (s - lo)], g),
+                       edges - edges[0], members[edges[0]:edges[-1]])
 
 
 def group_by_coefficient(max_n: int) -> list[CoefficientGroup]:

@@ -53,32 +53,6 @@ def primes_up_to(n: int) -> np.ndarray:
     return np.nonzero(flags)[0]
 
 
-def _primes_split_at_root(max_n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The primes <= max_n, split into those <= isqrt(max_n) and the rest.
-
-    Both stay int64, as primes_up_to returns them: scatters indexed by a
-    uint64 copy ran slower than a Python loop over the primes.
-    """
-    primes = primes_up_to(max_n)
-    split = int(np.searchsorted(primes, isqrt(max_n), side="right"))
-    return primes[:split], primes[split:]
-
-
-def _large_prime_cofactors(
-    max_n: int, large: np.ndarray
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (j, ps) for j = 1..max_n // (isqrt(max_n) + 1), where ps holds
-    the primes of ``large`` (those above isqrt(max_n)) with j * p <= max_n.
-
-    Every n <= max_n has at most one prime factor p > isqrt(max_n), to the
-    first power, so each such n is j * p for exactly one yielded pair, with
-    j < sqrt(max_n).  A table built from the primes <= isqrt(max_n) is thus
-    final at every j, and one scatter over ps * j per cofactor finishes it.
-    """
-    for j in range(1, max_n // (isqrt(max_n) + 1) + 1):
-        yield j, large[: np.searchsorted(large, max_n // j, side="right")]
-
-
 @dataclass(frozen=True)
 class TotientTable:
     """Dense totient values for 1..max_n.

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -11,13 +12,21 @@ from totient_lab import (
     group_by_coefficient,
     integrated_series_coefficients,
     phi_over_n,
+    primes_up_to,
     radical,
     series_coefficients,
     totient,
+    totient_sieve,
 )
 import totient_lab.series as series
 import totient_lab.sieve as sieve
-from totient_lab.series import _CHUNK, _coefficient_blocks, _group_chunks, _radical_table
+from totient_lab.series import (
+    _CHUNK,
+    _coefficient_blocks,
+    _coefficient_groups,
+    _cofactors,
+    _group_chunks,
+)
 from reference_values import ROOT_EDGE_SIZES, sampled_entries
 
 EULER = Convention.EULER
@@ -61,18 +70,122 @@ class TestRadical:
             radical(0)
 
 
+def radical_table(max_n: int) -> np.ndarray:
+    """The earlier radical table, kept as an oracle for the grouping:
+    rad[n] for 0..max_n as int32, rad[p::p] *= p for each prime
+    p <= isqrt(max_n), then rad[j * p] *= p for each cofactor j and each
+    prime p > isqrt(max_n) with j * p <= max_n."""
+    rad = np.ones(max_n + 1, dtype=np.int32)
+    primes = primes_up_to(max_n)
+    root = isqrt(max_n)
+    for p in primes[primes <= root].tolist():
+        rad[p::p] *= p
+    large = primes[primes > root]
+    for j in range(1, max_n // (root + 1) + 1):
+        ps = large[: np.searchsorted(large, max_n // j, side="right")]
+        rad[ps * j] *= ps
+    return rad
+
+
+def radical_table_groups(max_n: int) -> tuple[np.ndarray, ...]:
+    """The earlier grouping, kept as an oracle for _coefficient_groups:
+    (radicals, nums, dens, sizes, members) of 2..max_n at once, the group
+    sizes from a bincount of the radical table, and its members from a
+    stable argsort of the table."""
+    rad = radical_table(max_n)[2:]
+    sizes = np.bincount(rad)
+    radicals = np.flatnonzero(sizes)
+    phi = totient_sieve(max_n, EULER).values[radicals - 1]
+    g = np.gcd(phi, radicals.astype(np.uint64))
+    return (radicals, phi // g, radicals.astype(np.uint64) // g, sizes[radicals],
+            np.argsort(rad, kind="stable") + 2)
+
+
+def concatenated_groups(max_n: int) -> tuple[np.ndarray, ...]:
+    """The chunks of _coefficient_groups(max_n) laid end to end, in the
+    shape of radical_table_groups, after checking each chunk's edges."""
+    chunks = list(_coefficient_groups(max_n))
+    for _, _, _, edges, members in chunks:
+        assert edges[0] == 0 and edges[-1] == len(members)
+    radicals, nums, dens, edges, members = zip(*chunks)
+    return (*map(np.concatenate, (radicals, nums, dens)),
+            np.concatenate([np.diff(e) for e in edges]), np.concatenate(members))
+
+
+def assert_groups_match_radical_table(max_n: int) -> None:
+    names = ("radicals", "nums", "dens", "sizes", "members")
+    for name, got, expected in zip(names, concatenated_groups(max_n),
+                                   radical_table_groups(max_n)):
+        assert np.array_equal(got, expected), f"max_n={max_n}: {name} differ"
+
+
 class TestRadicalTable:
     def test_matches_radical_around_prime_squares(self):
         by_factorization = [radical(n) for n in range(1, ROOT_EDGE_SIZES[-1] + 1)]
         for max_n in ROOT_EDGE_SIZES:
-            rad = _radical_table(max_n).tolist()
+            rad = radical_table(max_n).tolist()
             bad = [n for n in range(1, max_n + 1) if rad[n] != by_factorization[n - 1]]
             assert not bad, f"max_n={max_n}: first wrong entry n={bad[0]}"
 
     def test_matches_radical_at_sampled_entries_of_1e7(self):
-        rad = _radical_table(10**7)
+        rad = radical_table(10**7)
         for n in sampled_entries(10**7, seed=20071):
             assert rad[n] == radical(n), f"n={n}"
+
+
+class TestCofactors:
+    def test_matches_trial_division_to_1e4(self):
+        # the cofactors change only where max_n reaches some k * rad(k),
+        # and the primes <= isqrt(max_n) only at p * p, one of those
+        products = sorted((k * radical(k), k) for k in range(1, 10**4 + 1))
+        sizes = {kr + d for kr, _ in products if kr <= 10**4 for d in (-1, 0)}
+        for max_n in sorted(sizes - {0} | {10**4}):
+            ks, rads = _cofactors(primes_up_to(isqrt(max_n)), max_n)
+            expected = sorted(k for kr, k in products if kr <= max_n)
+            assert ks.tolist() == expected, f"max_n={max_n}"
+            assert rads.tolist() == [radical(k) for k in expected], f"max_n={max_n}"
+
+    def test_matches_radical_table_at_1e6(self):
+        rad = radical_table(10**6)
+        expected = np.flatnonzero(np.arange(10**6 + 1) * rad <= 10**6)[1:]
+        ks, rads = _cofactors(primes_up_to(1000), 10**6)
+        assert np.array_equal(ks, expected)
+        assert np.array_equal(rads, rad[expected])
+
+
+class TestCoefficientGroups:
+    @pytest.mark.parametrize("max_n", ROOT_EDGE_SIZES)
+    def test_matches_radical_table_around_prime_squares(self, max_n):
+        assert_groups_match_radical_table(max_n)
+
+    @pytest.mark.parametrize("max_n", sorted(
+        {k * _CHUNK + 1 + d for k in (1, 2, 7) for d in (-1, 0, 1)}
+        | {sieve._BLOCK + d for d in (-1, 0, 1, 2)}
+        | {99_500}
+    ))
+    def test_matches_radical_table_at_sub_block_and_block_seams(self, max_n):
+        # radicals are taken _CHUNK at a time from 2, in blocks of the sieve
+        assert_groups_match_radical_table(max_n)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    def test_matches_radical_table_in_small_sub_blocks(self, monkeypatch, chunk):
+        monkeypatch.setattr(series, "_CHUNK", chunk)
+        for max_n in (2, 3, 4, 49, 50, 1000, 2 * 4099 + 1):
+            assert_groups_match_radical_table(max_n)
+
+    def test_matches_radical_table_across_small_sieve_blocks(self, monkeypatch):
+        monkeypatch.setattr(sieve, "_BLOCK", 4099)
+        for max_n in (4098, 4099, 4100, 3 * 4099 + 1, 50_000):
+            assert_groups_match_radical_table(max_n)
+
+    def test_members_partition_the_range_at_1e6(self):
+        # a lost or a doubled member changes the count or the sum
+        max_n = 10**6
+        count = total = 0
+        for _, _, _, _, members in _coefficient_groups(max_n):
+            count += len(members)
+            total += int(members.sum())
+        assert (count, total) == (max_n - 1, max_n * (max_n + 1) // 2 - 1)
 
 
 class TestSeriesCoefficients:
@@ -256,8 +369,7 @@ class TestGroupChunks:
     @pytest.mark.parametrize("max_n", [500_000, 2_000_000])
     def test_chunk_members_bounded_at_sizes_of_max_n(self, max_n):
         # the first groups, of the small radicals, hold the most members
-        sizes = np.bincount(_radical_table(max_n)[2:])
-        sizes = sizes[sizes > 0].tolist()
+        sizes = radical_table_groups(max_n)[3].tolist()
         members = chunk_members(sizes)
         assert len(members) > 1
         assert max(members) <= _CHUNK + max(sizes)

@@ -90,12 +90,13 @@ class TestFlatMemory:
 
     @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
     def test_series_grouped_peak_rss_per_entry(self, fmt):
-        # at the stable argsort, the radical table holds 4 bytes per entry,
-        # the argsort 8 and its merge buffer about 4, and the per-radical
-        # arrays about 10; the groups are rendered and written about 16,384
-        # members at a time
+        # the groups are made from 16,384 radicals of a block of the sieve
+        # at a time, and rendered and written about 16,384 members at a
+        # time; what grows is the sieve's buffer of the primes <= N/2, and
+        # the pairs of the first radicals, which hold the most members
+        # (70 k at N = 5*10**5, 112 k at 2*10**6)
         per_entry = peak_rss_per_entry("series", "--grouped", "--format", fmt)
-        assert per_entry <= 32, f"{per_entry:.1f} bytes per entry"
+        assert per_entry <= 4, f"{per_entry:.1f} bytes per entry"
 
 
 @pytest.mark.parametrize("args", [
