@@ -16,7 +16,6 @@ import os
 import re
 import string
 import sys
-from itertools import starmap
 from typing import Iterable, Iterator
 
 import click
@@ -185,31 +184,25 @@ def _write_rows(layout: tuple[str, ...], chunks: Iterable, **fields) -> int:
     the rows joined by the separator, then the tail; return the number of
     rows written.  Head and tail are templates filled from fields.
 
-    chunks yields the rows a chunk at a time: a tuple of numpy integer
-    columns, rendered by _render (with the layout's joiner, if it has one),
-    or any other iterable of row tuples, each rendered by row.format(*r).
-    Each chunk is rendered and written before the next is asked for, so
-    memory stays flat however many rows there are.
+    chunks yields the rows a chunk at a time, each a tuple of numpy integer
+    columns rendered by _render (with the layout's joiner, if it has one).
+    Each chunk is rendered and written to the binary stdout before the next
+    is asked for, so memory stays flat however many rows there are.
     The head goes out with the first chunk, so nothing is written before
     the first row: a producer that refuses its input when that row is
     asked for leaves stdout empty.  A reader that closes the pipe early
-    ends the command with exit code 0 and nothing on stderr, as it did
-    when the whole output went out in one write.
+    ends the command with exit code 0 and nothing on stderr.
     """
     head, row, sep, tail, *joiner = layout
-    before = head.format(**fields)  # what goes out ahead of the next chunk
+    out = click.get_binary_stream("stdout")
+    before = head.format(**fields).encode()  # what goes out ahead of the next chunk
     written = 0
     try:
         for chunk in chunks:
-            if isinstance(chunk, tuple):
-                text, rows = _render(row, sep, chunk, *joiner).decode(), len(chunk[0])
-            else:
-                text = list(starmap(row.format, chunk))
-                text, rows = sep.join(text), len(text)
-            click.echo(before + text, nl=False)
-            del text  # not held while the next chunk is rendered
-            before, written = sep, written + rows
-        click.echo(("" if written else before) + tail.format(**fields), nl=False)
+            out.write(before + _render(row, sep, chunk, *joiner))
+            before, written = sep.encode(), written + len(chunk[0])
+        out.write((b"" if written else before) + tail.format(**fields).encode())
+        out.flush()
     except BrokenPipeError:
         # Later flushes, at exit included, go to /dev/null instead of failing.
         devnull = os.open(os.devnull, os.O_WRONLY)
@@ -221,7 +214,7 @@ def _write_rows(layout: tuple[str, ...], chunks: Iterable, **fields) -> int:
 
 def _write_lines(lines: Iterable) -> None:
     """Write each line, then a newline."""
-    _write_rows(("", "{}", "\n", "\n"), [[(line,) for line in lines]])
+    _write_rows(("", "", "", "{text}"), [], text="".join(f"{line}\n" for line in lines))
 
 
 def _csv_value(value) -> str:
@@ -465,10 +458,6 @@ def cmd_series(max_n: int, grouped: bool, fmt: str) -> None:
         _write_rows(_SERIES_LAYOUTS[fmt], _coefficient_blocks(max_n))
 
 
-#: bench's csv layout, for the fields of each MethodResult.
-_BENCH_CSV = ("method,executed,seconds,checksum,skip_reason\n", "{},{},{},{},{}", "\n", "\n")
-
-
 @main.command("bench")
 @click.argument("max_n", type=DECIMAL)
 @_format_option
@@ -481,7 +470,8 @@ def cmd_bench(max_n: int, fmt: str) -> None:
     if fmt == "json":
         _write_record(fmt, {"max_n": report.max_n, "results": results, "checksums_agree": agree})
     elif fmt == "csv":
-        _write_rows(_BENCH_CSV, [[map(_csv_value, r.values()) for r in results]])
+        _write_lines([",".join(results[0]),
+                      *(",".join(map(_csv_value, r.values())) for r in results)])
     else:
         lines = [
             f"{r.method}: {r.seconds:.6f} s, checksum {r.checksum}" if r.executed

@@ -191,10 +191,12 @@ def _farey_blocks(D: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     arrays, one value window [i/M, (i+1)/M) at a time, M = _farey_windows(D).
 
     A window's candidates are the a/b with b <= D and
-    ceil(i b / M) <= a < ceil((i+1) b / M); the ones with gcd(a, b) = 1 are
-    its terms.  They are sorted by the integer key (a M - i b) K // b, which
-    is floor(K M (a/b - i/M)) with K = ceil(D^2 / M): distinct terms lie at
-    least 1/D^2 apart, so their keys differ by at least K M / D^2 >= 1.
+    ceil(i b / M) <= a < ceil((i+1) b / M), denominators ascending.  They
+    are stably sorted by the integer key (a M - i b) K // b, which is
+    floor(K M (a/b - i/M)) with K = ceil(D^2 / M): distinct values lie at
+    least 1/D^2 apart, so their keys differ by at least K M / D^2 >= 1,
+    and equal values share a key.  The first of each run of equal keys has
+    the least denominator, the value's reduced form, and is a term.
     K <= 6 * _BLOCK and M <= max(1, D^2 / (3 * _BLOCK)), so every product
     stays below max(6 * _BLOCK * D, D^3 / (3 * _BLOCK)), inside int64 for D
     up to the table limit.  A window costs O(D) besides its terms.  D >= 2
@@ -211,10 +213,18 @@ def _farey_blocks(D: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         # a runs from lo up within each denominator's stretch of den
         num = np.arange(len(den), dtype=np.int64)
         num += np.repeat(lo - (np.cumsum(counts) - counts), counts)
-        reduced = np.gcd(num, den) == 1
-        num, den = num[reduced], den[reduced]
-        order = np.argsort((num * M - i * den) * K // den)
-        yield num[order], den[order]
+        key = num * M
+        key -= i * den
+        key *= K
+        key //= den
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        first = np.ones(len(key), dtype=bool)
+        first[1:] = key[1:] != key[:-1]
+        order = order[first]
+        num, den = num[order], den[order]
+        del key, order, first  # not held while the block is consumed
+        yield num, den
 
 
 def farey_sequence(max_denominator: int) -> list[Fraction]:

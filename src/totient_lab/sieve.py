@@ -167,17 +167,13 @@ def totient_sieve(
     max_n: int, convention: Convention = Convention.MODERN
 ) -> TotientTable:
     """Totient table for 1..max_n, filled from the blocks of
-    _totient_blocks; a max_n <= _BLOCK is one block, kept as it is.
-    Total work is O(max_n log log max_n).
+    _totient_blocks.  Total work is O(max_n log log max_n).
     """
     _check_table_size(max_n)
     # MemoryError from the allocation is the resource-failure signal.
-    if max_n <= _BLOCK:
-        ((_, phi),) = _totient_blocks(max_n, convention)
-    else:
-        phi = np.empty(max_n, dtype=np.uint64)
-        for lo, block in _totient_blocks(max_n, convention):
-            phi[lo - 1:lo - 1 + len(block)] = block
+    phi = np.empty(max_n, dtype=np.uint64)
+    for lo, block in _totient_blocks(max_n, convention):
+        phi[lo - 1:lo - 1 + len(block)] = block
     phi.flags.writeable = False
     return TotientTable(max_n=max_n, convention=convention, values=phi)
 

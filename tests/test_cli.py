@@ -624,6 +624,42 @@ class TestBenchCommand:
         assert lines[0] == "method,executed,seconds,checksum,skip_reason"
         assert len(lines) == 4
 
+    #: one method skipped, two timed with the same checksum
+    FIXED_REPORT = BenchReport(
+        max_n=20_000,
+        results=(
+            MethodResult("bruteforce-oracle", False, skip_reason="max_n exceeds brute-force bound 10000"),
+            MethodResult("per-n-factorization", True, 0.0123456789, 121_590_395),
+            MethodResult("sieve", True, 1.5, 121_590_395),
+        ),
+    )
+
+    def test_csv_bytes(self, runner, monkeypatch):
+        monkeypatch.setattr(cli, "bench_totient_methods", lambda n: self.FIXED_REPORT)
+
+        def field(value):
+            if value is None:
+                return ""
+            if isinstance(value, bool):
+                return "true" if value else "false"
+            return f"{value:.6f}" if isinstance(value, float) else str(value)
+
+        expected = "method,executed,seconds,checksum,skip_reason\n" + "".join(
+            ",".join(map(field, (r.method, r.executed, r.seconds, r.checksum, r.skip_reason)))
+            + "\n"
+            for r in self.FIXED_REPORT.results
+        )
+        assert run_ok(runner, ["bench", "20000", "--format", "csv"]) == expected
+
+    def test_plain_bytes(self, runner, monkeypatch):
+        monkeypatch.setattr(cli, "bench_totient_methods", lambda n: self.FIXED_REPORT)
+        expected = "".join(
+            f"{r.method}: {r.seconds:.6f} s, checksum {r.checksum}\n" if r.executed
+            else f"{r.method}: skipped ({r.skip_reason})\n"
+            for r in self.FIXED_REPORT.results
+        ) + "checksums agree: yes\n"
+        assert run_ok(runner, ["bench", "20000"]) == expected
+
     def test_skip_marked(self, runner):
         out = run_ok(runner, ["bench", "20000"])
         assert "bruteforce-oracle: skipped" in out

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from totient_lab import (
+    SIEVE_LIMIT,
     Convention,
     factorize,
     group_by_coefficient,
@@ -186,6 +187,48 @@ class TestCoefficientGroups:
             count += len(members)
             total += int(members.sum())
         assert (count, total) == (max_n - 1, max_n * (max_n + 1) // 2 - 1)
+
+
+class TestProductsAtTheTableLimit:
+    # numpy array arithmetic wraps silently on overflow, so these compare
+    # the int64 products k * rad(k) * p**2 and r * k at SIEVE_LIMIT with
+    # Python ints, which cannot overflow
+    def test_cofactors_match_a_search_in_python_ints(self):
+        primes = primes_up_to(isqrt(SIEVE_LIMIT)).tolist()
+        found, stack = [], [(1, 1, 0)]  # k, rad(k), index of the least prime k may gain
+        while stack:
+            k, rad, start = stack.pop()
+            found.append((k, rad))
+            for i in range(start, len(primes)):
+                p = primes[i]
+                if k * rad * p * p > SIEVE_LIMIT:
+                    break
+                k_p = k * p
+                while k_p * rad * p <= SIEVE_LIMIT:
+                    stack.append((k_p, rad * p, i + 1))
+                    k_p *= p
+        found.sort()
+        assert len(found) == 21_044
+        ks, rads = _cofactors(np.array(primes), SIEVE_LIMIT)
+        assert ks.tolist() == [k for k, _ in found]
+        assert rads.tolist() == [rad for _, rad in found]
+
+    def test_first_groups_match_products_in_python_ints(self):
+        radicals, _, _, edges, members = next(_coefficient_groups(SIEVE_LIMIT))
+        radicals, edges, members = radicals.tolist(), edges.tolist(), members.tolist()
+        squarefree = [r for r in range(2, radicals[-1] + 1)
+                      if all(e == 1 for _, e in factorize(r).factors)]
+        assert radicals == squarefree
+        assert max(members) <= SIEVE_LIMIT
+        for r, a, b in zip(radicals, edges, edges[1:]):
+            # the members are r * k for every k <= SIEVE_LIMIT // r whose
+            # primes all divide r
+            ks = [1]
+            for p in factorize(r).distinct_primes:
+                ks = [k * p**e for k in ks for e in range(SIEVE_LIMIT.bit_length())
+                      if k * p**e <= SIEVE_LIMIT // r]
+            assert all(m % r == 0 for m in members[a:b]), f"radical {r}"
+            assert members[a:b] == sorted(r * k for k in ks), f"radical {r}"
 
 
 class TestSeriesCoefficients:
