@@ -31,6 +31,7 @@ from .farey import (
     count_by_exclusion,
     count_by_totient_sum,
     _farey_blocks,
+    _totient_sum,
 )
 from .series import _coefficient_blocks, _coefficient_groups
 from .sieve import _totient_blocks, bench_totient_methods
@@ -201,6 +202,7 @@ def _write_rows(layout: tuple[str, ...], chunks: Iterable, **fields) -> int:
         for chunk in chunks:
             out.write(before + _render(row, sep, chunk, *joiner))
             before, written = sep.encode(), written + len(chunk[0])
+            del chunk  # not held while the next chunk is made
         out.write((b"" if written else before) + tail.format(**fields).encode())
         out.flush()
     except BrokenPipeError:
@@ -297,6 +299,21 @@ _TABLE_LAYOUTS = {
 }
 
 
+def _checked_phi_sum(chunks: Iterable, N: int, less: int) -> Iterator:
+    """chunks, each passed on as it comes; after the last, raise
+    CrossCheckError unless their phi column, the second, summed a chunk at
+    a time, adds up to Phi(N) - less, Phi(N) being _totient_sum(N)."""
+    written = 0
+    for chunk in chunks:
+        written += int(chunk[1].sum(dtype=np.uint64))
+        yield chunk
+        del chunk
+    expected = _totient_sum(N) - less
+    if written != expected:
+        identity = "Phi(N)" + (f"-{less}" if less else "")
+        raise CrossCheckError(f"written phi sum={written} != {identity}={expected} at N={N}")
+
+
 @main.command("table")
 @click.argument("max_n", type=DECIMAL)
 @_convention_option
@@ -304,12 +321,15 @@ _TABLE_LAYOUTS = {
 @_lib_errors
 def cmd_table(max_n: int, convention: str, fmt: str) -> None:
     """Totient values for every n in 1..MAX_N."""
-    _write_rows(_TABLE_LAYOUTS[fmt], (
+    conv = Convention(convention)
+    chunks = (
         (np.arange(lo + start, lo + start + len(rows)), rows)
-        for lo, values in _totient_blocks(max_n, Convention(convention))
+        for lo, values in _totient_blocks(max_n, conv)
         for start in range(0, len(values), ROWS_PER_CHUNK)
         for rows in [values[start:start + ROWS_PER_CHUNK]]
-    ))
+    )
+    # the sum of the written totients is Phi(N), less 1 where totient(1) is 0
+    _write_rows(_TABLE_LAYOUTS[fmt], _checked_phi_sum(chunks, max_n, 1 - conv.value_at_one))
 
 
 @main.command("count")
@@ -382,7 +402,10 @@ def _checked_farey_blocks(D: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     for num, den in _farey_blocks(D):
         _check_neighbours(np.concatenate((last[0], num)), np.concatenate((last[1], den)), D)
         yield num, den
-        last = num[-1:], den[-1:]
+        # copies, not views, and no names held: the block is freed before
+        # the next one is made
+        last = num[-1:].copy(), den[-1:].copy()
+        del num, den
     _check_neighbours(np.append(last[0], 1), np.append(last[1], 1), D)
 
 
@@ -455,7 +478,8 @@ def cmd_series(max_n: int, grouped: bool, fmt: str) -> None:
     if grouped:
         _write_rows(_GROUPED_LAYOUTS[fmt], _coefficient_groups(max_n))
     else:
-        _write_rows(_SERIES_LAYOUTS[fmt], _coefficient_blocks(max_n))
+        # the rows start at n = 2, so their totients add up to Phi(N) - 1
+        _write_rows(_SERIES_LAYOUTS[fmt], _checked_phi_sum(_coefficient_blocks(max_n), max_n, 1))
 
 
 @main.command("bench")

@@ -4,11 +4,13 @@ comparing the three totient routes.
 Totients come from one segmented product sieve, _totient_blocks, not
 max_n independent factorizations: in each block of _BLOCK entries, one
 in-place multiply per stride of each prime up to sqrt(max_n), then one
-scatter for the primes above it.  The counting routes and the CLI's
-`table` reduce or write the blocks as they come and hold no table;
-totient_sieve copies them into one.  On a 2-vCPU Xeon VM, 10**7 entries
-take about 0.4 s, and the CLI's `count 100000000` 5-6 s with a peak RSS
-of 47 MiB.
+scatter for the primes above it.  cumulative_counts, the exclusion count
+and the CLI's `table` and `series` reduce or write the blocks as they come
+and hold no table; totient_sieve copies them into one.  On a 2-vCPU Xeon
+VM, 10**7 entries take about 0.4 s, and a pass over all 10**8 5-6 s with
+a peak RSS of 47 MiB.  The CLI's `count 100000000` makes no such pass: its
+exclusion sum reads the blocks of 1..5*10**7 (2.6-3.0 s, 41 MiB), and its
+totient sum a prefix of about D^(2/3) (`--method sum`: 0.35 s, 34 MiB).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .core import Convention, totient, totient_bruteforce
 #: Practical table-size limit; larger requests are refused.  A whole table
 #: (totient_sieve) costs 8 bytes per entry, roughly 800 MB at the limit.
 #: The block-by-block routes hold one block and 4 bytes per prime <= N/2,
-#: so for them the limit bounds time, 5-6 s at 10**8.
+#: so for them the limit bounds time, 5-6 s for a pass over 10**8 entries.
 SIEVE_LIMIT = 10**8
 
 #: Per-method input bounds for the benchmark.  The brute-force route costs

@@ -263,6 +263,24 @@ class TestTableCommand:
         assert result.exit_code == 2
         assert result.stdout == ""
 
+    @pytest.mark.parametrize("convention,message", [
+        ("modern", "written phi sum=47 != Phi(N)=46 at N=12"),
+        ("euler", "written phi sum=46 != Phi(N)-1=45 at N=12"),
+    ])
+    def test_corrupted_block_fails_the_end_of_stream_sum(self, runner, monkeypatch,
+                                                         convention, message):
+        blocks = cli._totient_blocks
+
+        def corrupted_blocks(max_n, conv):
+            for lo, values in blocks(max_n, conv):
+                values[4] += 1  # totient(5) = 4 read as 5
+                yield lo, values
+
+        monkeypatch.setattr(cli, "_totient_blocks", corrupted_blocks)
+        result = runner.invoke(cli.main, ["table", "12", "--convention", convention])
+        assert result.exit_code == 3
+        assert message in result.stderr
+
 
 class TestCountCommand:
     def test_all_methods_agree_at_20(self, runner):
@@ -475,6 +493,20 @@ class TestSeriesCommand:
         result = runner.invoke(cli.main, args)
         assert result.exit_code == 2
         assert result.stdout == ""
+
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    def test_corrupted_block_fails_the_end_of_stream_sum(self, runner, monkeypatch, fmt):
+        blocks = cli._coefficient_blocks
+
+        def corrupted_blocks(max_n):
+            for n, phi, num, den in blocks(max_n):
+                phi[5] += 1  # totient(7) = 6 read as 7
+                yield n, phi, num, den
+
+        monkeypatch.setattr(cli, "_coefficient_blocks", corrupted_blocks)
+        result = runner.invoke(cli.main, ["series", "10", "--format", fmt])
+        assert result.exit_code == 3
+        assert "written phi sum=32 != Phi(N)-1=31 at N=10" in result.stderr
 
     @pytest.mark.parametrize("args", [["series", "100"], ["series", "100", "--grouped"]])
     def test_one_sieve_per_request(self, runner, monkeypatch, args):

@@ -1,15 +1,20 @@
 import dataclasses
 import itertools
+import math
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import totient_lab.farey as farey
 from totient_lab import (
     ENUMERATION_BOUND,
     FAREY_MATERIALIZE_BOUND,
+    SIEVE_LIMIT,
+    Convention,
     FareyCountReport,
     count_by_enumeration,
     count_by_exclusion,
@@ -19,8 +24,10 @@ from totient_lab import (
     iter_farey_pairs,
     iter_farey_sequence,
 )
-from totient_lab.farey import _farey_blocks, _farey_windows
+from totient_lab.farey import _farey_blocks, _farey_windows, _totient_sum
+from totient_lab.sieve import _BLOCK, _totient_blocks
 from reference_values import totient_by_gcd_count
+from test_sieve import whole_table_totients
 
 
 def block_pairs(max_denominator: int) -> list[tuple[int, int]]:
@@ -44,6 +51,73 @@ def farey_by_sorting(max_denominator: int) -> list[Fraction]:
         for a in range(1, b)
     }
     return sorted(values)
+
+
+def sieve_count_by_totient_sum(max_denominator: int) -> int:
+    """The earlier count_by_totient_sum, kept as an oracle for _totient_sum:
+    the sieve's blocks of 1..D summed one at a time (totient(1) = 0)."""
+    return sum(
+        int(values.sum(dtype=np.uint64))
+        for _, values in _totient_blocks(max_denominator, Convention.EULER)
+    )
+
+
+def seed_cofactors(D: int) -> int:
+    """How many big[j] _totient_sum fills above its sieve prefix, as it
+    sizes the prefix."""
+    L = min(D, max(math.isqrt(D) + 1, round(D ** (2 / 3))))
+    return D // (L + 1)
+
+
+#: The D where _totient_sum's first big[j] appears, and where their count
+#: next changes below 10**5 and 10**6, each with its neighbours.
+SEED_SEAMS = sorted({
+    s + delta
+    for lo, hi in [(2, 100), (90_000, 10**5), (950_000, 10**6)]
+    for s in [next(d for d in range(lo, hi) if seed_cofactors(d) != seed_cofactors(d - 1))]
+    for delta in (-1, 0, 1)
+})
+
+
+@pytest.fixture(scope="module")
+def totient_sums_to_1e6():
+    """Phi(D) at index D - 1 for D = 1..10**6, from the cumsum of the
+    whole-table sieve kernel."""
+    return np.cumsum(whole_table_totients(10**6, Convention.MODERN)).tolist()
+
+
+class TestTotientSum:
+    def test_matches_whole_table_cumsum_to_2000(self, totient_sums_to_1e6):
+        got = [_totient_sum(d) for d in range(1, 2001)]
+        bad = [d for d in range(1, 2001) if got[d - 1] != totient_sums_to_1e6[d - 1]]
+        assert not bad, f"first wrong D={bad[0]}"
+
+    def test_seed_seams_found(self):
+        assert seed_cofactors(SEED_SEAMS[0]) == 0 and seed_cofactors(SEED_SEAMS[2]) == 1
+        assert len(SEED_SEAMS) == 9
+
+    @pytest.mark.parametrize("d", SEED_SEAMS)
+    def test_matches_whole_table_cumsum_at_seed_seams(self, totient_sums_to_1e6, d):
+        assert _totient_sum(d) == totient_sums_to_1e6[d - 1]
+
+    @pytest.mark.parametrize("d", [q * q + delta for q in (31, 316, 997) for delta in (-1, 0, 1)])
+    def test_matches_whole_table_cumsum_around_squares(self, totient_sums_to_1e6, d):
+        assert _totient_sum(d) == totient_sums_to_1e6[d - 1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 10**6))
+    def test_matches_whole_table_cumsum_below_1e6(self, totient_sums_to_1e6, d):
+        assert _totient_sum(d) == totient_sums_to_1e6[d - 1]
+
+    @pytest.mark.parametrize("d", [
+        2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK - 2, 2 * _BLOCK + 2, 4_999_500,
+    ])
+    def test_matches_the_one_pass_sieve_sum(self, d):
+        assert count_by_totient_sum(d) == sieve_count_by_totient_sum(d)
+
+    def test_routes_consistent_at_the_table_limit(self):
+        # the exclusion sum sieves 1..D/2; the totient sum is the recursion
+        assert count_by_exclusion(SIEVE_LIMIT).first_broken_identity() is None
 
 
 class TestCountByTotientSum:
@@ -78,6 +152,18 @@ class TestCountByExclusion:
     def test_small_rejected(self):
         with pytest.raises(ValueError):
             count_by_exclusion(1)
+
+    def test_sieves_half_of_d(self, monkeypatch):
+        # the exclusion sum reads 1..D/2; _totient_sum sieves its own prefix
+        sizes = []
+
+        def recorded(max_n, convention):
+            sizes.append((max_n, convention))
+            return _totient_blocks(max_n, convention)
+
+        monkeypatch.setattr(farey, "_totient_blocks", recorded)
+        assert count_by_exclusion(10**6 + 1).consistent()
+        assert sizes == [(500_000, Convention.EULER), (10**4, Convention.MODERN)]
 
     @pytest.mark.parametrize("d", [2, 3, 7, 20, 50, 97, 256, 999])
     def test_excluded_matches_explicit_loop(self, d):
