@@ -16,7 +16,7 @@ import os
 import re
 import string
 import sys
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import click
 import numpy as np
@@ -38,8 +38,8 @@ from .sieve import _totient_blocks, bench_totient_methods
 
 _DECIMAL_RE = re.compile(r"[0-9]+")
 
-#: Rows of the totient table that _write_rows renders and writes at a time.
-ROWS_PER_CHUNK = 1 << 16
+#: Bytes of the byte matrix that _render lays out at a time, about.
+RENDER_BYTES = 1 << 19
 
 
 class DomainError(click.ClickException):
@@ -116,10 +116,10 @@ def _pieces(template: str) -> list[bytes | int]:
 
 
 def _render(row: str, sep: str, columns: tuple[np.ndarray, ...],
-            joiner: str | None = None) -> bytes:
-    """sep.join(starmap(row.format, zip(*columns))) as bytes, for a row
-    template whose fields are bare {} or {i} and columns of non-negative
-    integers, one row per index.
+            joiner: str | None = None) -> Iterator[bytes]:
+    """sep.join(starmap(row.format, zip(*columns))) as bytes, in pieces,
+    for a row template whose fields are bare {} or {i} and columns of
+    non-negative integers, one row per index.
 
     With a joiner, the rows are groups: columns ends with (edges, members),
     group g holding members[edges[g]:edges[g + 1]], and each column before
@@ -127,56 +127,70 @@ def _render(row: str, sep: str, columns: tuple[np.ndarray, ...],
     after them, the group's members joined by the joiner, a template of the
     values too.
 
-    The output is laid out in a byte matrix, one row and its separator per
-    line, or with a joiner one member per line: the literal text, and each
-    field's digits, got by integer division in the narrowest unsigned dtype
-    that holds the column's maximum, padded with leading zeros to that
-    maximum's width.  A mask drops the leading zeros and the last
-    separator.  With a joiner it also keeps the text before the members'
-    field on a group's first member only, the joiner on every member but
-    the last, and the text after the field and the separator on the last.
+    Each piece is a byte matrix of RENDER_BYTES // width lines, one row and
+    its separator per line, or with a joiner one member per line: the
+    literal text, and each field's digits, got by integer division in the
+    narrowest unsigned dtype that holds the column's maximum, padded with
+    leading zeros to that maximum's width.  A mask drops the leading zeros
+    and the last separator.  With a joiner it also keeps the text before
+    the members' field on a group's first member only, the joiner on every
+    member but the last, and the text after the field and the separator on
+    the last; a member reads its group's values through its group index.
     """
     pieces, separator = _pieces(row), [sep.encode()]
     if joiner is None:
-        parts = [(pieces + separator, None)]  # pieces, and the rows that keep them
+        parts = [pieces + separator]
     else:
         *per_group, edges, members = columns
-        first = np.zeros(len(members), dtype=bool)
-        first[edges[:-1]] = True
-        last = np.zeros(len(members), dtype=bool)
-        last[edges[1:] - 1] = True
-        columns = (*(np.repeat(c, np.diff(edges)) for c in per_group), members)
+        columns = (*per_group, members)
         at = pieces.index(len(per_group))  # the members' field
-        parts = [(pieces[:at], first), (pieces[at:at + 1], None), (_pieces(joiner), ~last),
-                 (pieces[at + 1:] + separator, last)]
-    pieces = [p for part, _ in parts for p in part]
+        parts = [pieces[:at], pieces[at:at + 1], _pieces(joiner), pieces[at + 1:] + separator]
+    pieces = [p for part in parts for p in part]
     tops = {p: int(columns[p].max()) for p in pieces if isinstance(p, int)}
     widths = {p: len(str(top)) for p, top in tops.items()}
     # the literal text, with a zero byte in place of every digit
     template = b"".join(bytes(widths[p]) if isinstance(p, int) else p for p in pieces)
-    matrix = np.empty((len(columns[0]), len(template)), dtype=np.uint8)
-    matrix[:] = np.frombuffer(template, dtype=np.uint8)
-    keep = np.ones(matrix.shape, dtype=bool)
-    end = 0  # of the piece in hand, in the matrix's columns
-    for part, rows in parts:
-        start = end
-        for p in part:
-            if isinstance(p, bytes):
-                end += len(p)
-                continue
-            end += widths[p]
-            values = columns[p].astype(np.min_scalar_type(tops[p]))
-            rest = values
-            for k in range(1, widths[p] + 1):  # k-th digit from the right
-                rest, digit = np.divmod(rest, 10)
-                digit += ord("0")
-                matrix[:, end - k] = digit
-                if k < widths[p]:  # the digit left of it is a leading zero below 10**k
-                    keep[:, end - k - 1] = values >= 10**k
-        if rows is not None:
-            keep[:, start:end] &= rows[:, None]
-    keep[-1, len(template) - len(sep):] = False
-    return matrix[keep].tobytes()
+    rows = len(columns[-1])
+
+    def lay_out(a: int, b: int) -> bytes:
+        """Lines a..b - 1, their arrays freed before the bytes are passed on."""
+        if joiner is None:
+            masks = [None]  # the rows that keep each part, None for all
+            lines = tuple(c[a:b] for c in columns)
+        else:
+            member = np.arange(a, b)
+            group = np.searchsorted(edges, member, side="right") - 1
+            first, last = edges[group] == member, edges[group + 1] == member + 1
+            masks = [first, None, ~last, last]
+            lines = (*(c[group] for c in per_group), members[a:b])
+        matrix = np.empty((b - a, len(template)), dtype=np.uint8)
+        matrix[:] = np.frombuffer(template, dtype=np.uint8)
+        keep = np.ones(matrix.shape, dtype=bool)
+        end = 0  # of the piece in hand, in the matrix's columns
+        for part, mask in zip(parts, masks):
+            start = end
+            for p in part:
+                if isinstance(p, bytes):
+                    end += len(p)
+                    continue
+                end += widths[p]
+                values = lines[p].astype(np.min_scalar_type(tops[p]))
+                rest = values
+                for k in range(1, widths[p] + 1):  # k-th digit from the right
+                    rest, digit = np.divmod(rest, 10)
+                    digit += ord("0")
+                    matrix[:, end - k] = digit
+                    if k < widths[p]:  # the digit left of it is a leading zero below 10**k
+                        keep[:, end - k - 1] = values >= 10**k
+            if mask is not None:
+                keep[:, start:end] &= mask[:, None]
+        if b == rows:
+            keep[-1, len(template) - len(sep):] = False
+        return matrix[keep].tobytes()
+
+    step = max(1, RENDER_BYTES // len(template))
+    for a in range(0, rows, step):
+        yield lay_out(a, min(a + step, rows))
 
 
 def _write_rows(layout: tuple[str, ...], chunks: Iterable, **fields) -> int:
@@ -186,9 +200,9 @@ def _write_rows(layout: tuple[str, ...], chunks: Iterable, **fields) -> int:
     rows written.  Head and tail are templates filled from fields.
 
     chunks yields the rows a chunk at a time, each a tuple of numpy integer
-    columns rendered by _render (with the layout's joiner, if it has one).
-    Each chunk is rendered and written to the binary stdout before the next
-    is asked for, so memory stays flat however many rows there are.
+    columns rendered by _render (with the layout's joiner, if it has one),
+    which bounds the memory a render takes.  Each chunk's pieces are
+    written to the binary stdout before the next chunk is asked for.
     The head goes out with the first chunk, so nothing is written before
     the first row: a producer that refuses its input when that row is
     asked for leaves stdout empty.  A reader that closes the pipe early
@@ -200,7 +214,8 @@ def _write_rows(layout: tuple[str, ...], chunks: Iterable, **fields) -> int:
     written = 0
     try:
         for chunk in chunks:
-            out.write(before + _render(row, sep, chunk, *joiner))
+            out.write(before)
+            out.writelines(_render(row, sep, chunk, *joiner))
             before, written = sep.encode(), written + len(chunk[0])
             del chunk  # not held while the next chunk is made
         out.write((b"" if written else before) + tail.format(**fields).encode())
@@ -299,19 +314,18 @@ _TABLE_LAYOUTS = {
 }
 
 
-def _checked_phi_sum(chunks: Iterable, N: int, less: int) -> Iterator:
+def _checked_sum(chunks: Iterable, column: int, name: str, identity: str,
+                 expected: Callable[[], int], N: int) -> Iterator:
     """chunks, each passed on as it comes; after the last, raise
-    CrossCheckError unless their phi column, the second, summed a chunk at
-    a time, adds up to Phi(N) - less, Phi(N) being _totient_sum(N)."""
+    CrossCheckError unless their column, summed a chunk at a time, adds up
+    to expected(), the identity's value."""
     written = 0
     for chunk in chunks:
-        written += int(chunk[1].sum(dtype=np.uint64))
+        written += int(chunk[column].sum(dtype=np.uint64))
         yield chunk
         del chunk
-    expected = _totient_sum(N) - less
-    if written != expected:
-        identity = "Phi(N)" + (f"-{less}" if less else "")
-        raise CrossCheckError(f"written phi sum={written} != {identity}={expected} at N={N}")
+    if written != (value := expected()):
+        raise CrossCheckError(f"written {name} sum={written} != {identity}={value} at N={N}")
 
 
 @main.command("table")
@@ -322,14 +336,10 @@ def _checked_phi_sum(chunks: Iterable, N: int, less: int) -> Iterator:
 def cmd_table(max_n: int, convention: str, fmt: str) -> None:
     """Totient values for every n in 1..MAX_N."""
     conv = Convention(convention)
-    chunks = (
-        (np.arange(lo + start, lo + start + len(rows)), rows)
-        for lo, values in _totient_blocks(max_n, conv)
-        for start in range(0, len(values), ROWS_PER_CHUNK)
-        for rows in [values[start:start + ROWS_PER_CHUNK]]
-    )
-    # the sum of the written totients is Phi(N), less 1 where totient(1) is 0
-    _write_rows(_TABLE_LAYOUTS[fmt], _checked_phi_sum(chunks, max_n, 1 - conv.value_at_one))
+    less = 1 - conv.value_at_one  # the written totients add up to Phi(N) - less
+    chunks = ((np.arange(lo, lo + len(values)), values) for lo, values in _totient_blocks(max_n, conv))
+    _write_rows(_TABLE_LAYOUTS[fmt], _checked_sum(chunks, 1, "phi", "Phi(N)" + "-1" * less,
+                                                   lambda: _totient_sum(max_n) - less, max_n))
 
 
 @main.command("count")
@@ -421,12 +431,11 @@ def cmd_farey(max_denominator: int, fmt: str) -> None:
         raise DomainError(
             f"D={d} exceeds the sequence bound {FAREY_MATERIALIZE_BOUND}"
         )
-    # plain and json take the count from the totient sum, then check it
-    # against the rows written; csv builds no sieve.  Every format checks
-    # the terms as neighbours.
-    count = None if fmt == "csv" else count_by_totient_sum(d)
+    # the count comes from the totient sum, and is checked against the rows
+    # written; the terms are checked as neighbours
+    count = count_by_totient_sum(d)
     written = _write_rows(_FAREY_LAYOUTS[fmt], _checked_farey_blocks(d), d=d, count=count)
-    if count is not None and written != count:
+    if written != count:
         raise CrossCheckError(
             f"farey blocks wrote {written} fractions at D={d}, "
             f"count_by_totient_sum gives {count}"
@@ -475,11 +484,12 @@ _GROUPED_LAYOUTS = {
 def cmd_series(max_n: int, grouped: bool, fmt: str) -> None:
     """Series coefficients: totient(n) and the reduced rational totient(n)/n
     for n = 2..MAX_N."""
-    if grouped:
-        _write_rows(_GROUPED_LAYOUTS[fmt], _coefficient_groups(max_n))
-    else:
-        # the rows start at n = 2, so their totients add up to Phi(N) - 1
-        _write_rows(_SERIES_LAYOUTS[fmt], _checked_phi_sum(_coefficient_blocks(max_n), max_n, 1))
+    if grouped:  # the members are 2..N, each once
+        _write_rows(_GROUPED_LAYOUTS[fmt], _checked_sum(_coefficient_groups(max_n), -1, "member",
+                    "N(N+1)/2-1", lambda: max_n * (max_n + 1) // 2 - 1, max_n))
+    else:  # the rows start at n = 2, so their totients add up to Phi(N) - 1
+        _write_rows(_SERIES_LAYOUTS[fmt], _checked_sum(_coefficient_blocks(max_n), 1, "phi",
+                    "Phi(N)-1", lambda: _totient_sum(max_n) - 1, max_n))
 
 
 @main.command("bench")

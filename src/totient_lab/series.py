@@ -23,8 +23,8 @@ import numpy as np
 from .core import Convention, factorize, totient
 from .sieve import _check_table_size, _totient_blocks, primes_up_to, totient_sieve
 
-#: Rows reduced at a time; when grouping, the most members a chunk of
-#: groups holds, unless one group alone holds more.
+#: Rows reduced, and radicals grouped, at a time: it sizes the gcd and
+#: pairing temporaries; the renderer sizes its own passes.
 _CHUNK = 1 << 14
 
 
@@ -100,18 +100,6 @@ class CoefficientGroup:
     members: tuple[int, ...]
 
 
-def _group_chunks(bounds: np.ndarray) -> Iterator[tuple[int, int]]:
-    """(first, end) group indices of successive chunks, group g holding the
-    bounds[g + 1] - bounds[g] members: each chunk takes the groups whose
-    members stay within _CHUNK, and at least one group."""
-    first, groups = 0, len(bounds) - 1
-    while first < groups:
-        end = int(np.searchsorted(bounds, bounds[first] + _CHUNK, side="right")) - 1
-        end = max(end, first + 1)
-        yield first, end
-        first = end
-
-
 def _ranges(first: np.ndarray, counts: np.ndarray, step: np.ndarray) -> np.ndarray:
     """first[i] + j * step[i] for j = 0..counts[i] - 1, for each i in turn."""
     run = np.repeat(np.cumsum(counts) - counts, counts)  # where each run starts
@@ -139,7 +127,7 @@ def _cofactors(primes: np.ndarray, max_n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _coefficient_groups(max_n: int) -> Iterator[tuple[np.ndarray, ...]]:
     """The groups of 2..max_n with equal totient(n)/n, ascending by radical,
-    a chunk of _group_chunks at a time: (radicals, nums, dens, edges,
+    a sub-block of radicals at a time: (radicals, nums, dens, edges,
     members), where num/den = totient(r)/r in lowest terms for each radical
     r and the group of radicals[g] holds members[edges[g]:edges[g + 1]],
     ascending.
@@ -177,12 +165,12 @@ def _coefficient_groups(max_n: int) -> Iterator[tuple[np.ndarray, ...]]:
             r, members = r[order], (r[order] + s) * k[order]
             sizes = np.bincount(r, minlength=e - s)
             radicals = np.flatnonzero(sizes)
-            bounds = np.concatenate(([0], np.cumsum(sizes[radicals])))
-            for first, end in _group_chunks(bounds):
-                g = (radicals[first:end] + s).astype(np.uint64)
-                edges = bounds[first:end + 1]
-                yield (g, *_reduced(phi[radicals[first:end] + (s - lo)], g),
-                       edges - edges[0], members[edges[0]:edges[-1]])
+            if not radicals.size:  # no squarefree r, as in [65538, 65539) at 65538
+                continue
+            edges = np.concatenate(([0], np.cumsum(sizes[radicals])))
+            g = (radicals + s).astype(np.uint64)
+            del r, k, keep, order, squarefree  # not held while the chunk is rendered
+            yield g, *_reduced(phi[radicals + (s - lo)], g), edges, members
 
 
 def group_by_coefficient(max_n: int) -> list[CoefficientGroup]:

@@ -4,9 +4,9 @@ comparing the three totient routes.
 Totients come from one segmented product sieve, _totient_blocks, not
 max_n independent factorizations: in each block of _BLOCK entries, one
 in-place multiply per stride of each prime up to sqrt(max_n), then one
-scatter for the primes above it.  cumulative_counts, the exclusion count
-and the CLI's `table` and `series` reduce or write the blocks as they come
-and hold no table; totient_sieve copies them into one.  On a 2-vCPU Xeon
+scatter for the primes above it.  The counts, the benchmark and the CLI's
+`table` and `series` reduce or write the blocks as they come and hold no
+table; totient_sieve copies them into one.  On a 2-vCPU Xeon
 VM, 10**7 entries take about 0.4 s, and a pass over all 10**8 5-6 s with
 a peak RSS of 47 MiB.  The CLI's `count 100000000` makes no such pass: its
 exclusion sum reads the blocks of 1..5*10**7 (2.6-3.0 s, 41 MiB), and its
@@ -251,7 +251,8 @@ _BENCH_METHODS: tuple[tuple[str, int, str, Callable[[int], int]], ...] = (
      lambda max_n: _weighted_checksum(
          lambda n: totient(n, Convention.EULER), max_n)),
     ("sieve", SIEVE_LIMIT, "sieve limit",
-     lambda max_n: totient_sieve(max_n, Convention.EULER).checksum()),
+     lambda max_n: sum(int(np.dot(np.arange(lo, lo + len(phi), dtype=np.uint64), phi))
+                       for lo, phi in _totient_blocks(max_n, Convention.EULER)) & _UINT64_MASK),
 )
 
 

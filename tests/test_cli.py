@@ -93,24 +93,43 @@ RENDERED_LAYOUTS = {
 EDGE_VALUES = [0, 9, 10, 99, 2**32 - 1, 2**32, 10**8]
 
 
+def render(*args) -> bytes:
+    """cli._render's pieces, joined."""
+    return b"".join(cli._render(*args))
+
+
 class TestRender:
     @pytest.mark.parametrize("layout", RENDERED_LAYOUTS.values(), ids=RENDERED_LAYOUTS.keys())
-    @pytest.mark.parametrize("rows", [1, len(EDGE_VALUES), cli.ROWS_PER_CHUNK + 1])
+    @pytest.mark.parametrize("rows", [1, len(EDGE_VALUES), 100])
+    @pytest.mark.parametrize("render_bytes", [1, 256, cli.RENDER_BYTES])
     @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
-    def test_matches_str_format(self, layout, rows, dtype):
+    def test_matches_str_format(self, monkeypatch, layout, rows, render_bytes, dtype):
+        # passes of one row, of a few rows, and of all of them
+        monkeypatch.setattr(cli, "RENDER_BYTES", render_bytes)
         row, sep = layout
         values = np.resize(np.array(EDGE_VALUES, dtype=dtype), rows)
         # four columns, each holding every edge value once the rows allow it
         columns = tuple(np.roll(values, shift) for shift in range(4))
         expected = sep.join(starmap(row.format, zip(*(c.tolist() for c in columns))))
-        assert cli._render(row, sep, columns) == expected.encode()
+        assert render(row, sep, columns) == expected.encode()
 
     @pytest.mark.parametrize("top", EDGE_VALUES)
     def test_column_of_one_width(self, top):
         # every digit of the widest value kept, every leading zero dropped
         columns = (np.arange(top - min(top, 12), top + 1, dtype=np.uint64),)
         expected = "\n".join(map(str, columns[0].tolist()))
-        assert cli._render("{}", "\n", columns) == expected.encode()
+        assert render("{}", "\n", columns) == expected.encode()
+
+    @pytest.mark.parametrize("render_bytes", [1, 7, 40, 41, 43, 4000, 4001])
+    def test_no_pass_exceeds_render_bytes_over_width(self, monkeypatch, render_bytes):
+        # a line of "{},{}" and its separator at values below 1000 is 8
+        # bytes wide, so each pass but the last takes render_bytes // 8
+        # lines, and at least one
+        monkeypatch.setattr(cli, "RENDER_BYTES", render_bytes)
+        columns = (np.arange(1000), np.arange(1000)[::-1])
+        step = max(1, render_bytes // 8)
+        lines = [len(piece.splitlines()) for piece in cli._render("{},{}", "\n", columns)]
+        assert lines == [step] * (1000 // step) + ([1000 % step] if 1000 % step else [])
 
 
 def grouped_rows(layout: tuple[str, ...], groups) -> str:
@@ -149,20 +168,75 @@ class TestGroupedRender:
         groups = [(*(int(c[g]) for c in columns), members[edges[g]:edges[g + 1]].tolist())
                   for g in range(len(sizes))]
         layout = cli._GROUPED_LAYOUTS[fmt]
-        got = cli._render(layout[1], layout[2], (*columns, edges, members), layout[4])
+        got = render(layout[1], layout[2], (*columns, edges, members), layout[4])
         assert got == grouped_rows(layout, groups).encode()
+
+    #: groups of 1, 2, 3 and 4 members, the widest values of every column
+    #: three digits long
+    SIZES = [1, 2, 3, 4, 1, 3, 2, 1, 4, 1]
+    VALUES = [100, 7, 42, 999, 5, 10, 99, 1, 500, 3]
+
+    def grouped_columns(self):
+        edges = np.concatenate(([0], np.cumsum(self.SIZES)))
+        members = np.arange(edges[-1]) * 37 % 1000
+        columns = tuple(np.roll(np.array(self.VALUES), shift) for shift in range(3))
+        groups = [(*(int(c[g]) for c in columns), members[edges[g]:edges[g + 1]].tolist())
+                  for g in range(len(self.SIZES))]
+        return (*columns, edges, members), groups
+
+    @staticmethod
+    def width(layout) -> int:
+        """The width of a member's line: the row and the joiner at
+        three-digit values, and the separator."""
+        return len(layout[1].format(*[999] * 4) + layout[4].format(*[999] * 3) + layout[2])
+
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    @pytest.mark.parametrize("step", [1, 2, 3, 4, 5, 6, 7, 21, 22, 23])
+    def test_passes_cut_anywhere_in_a_group(self, monkeypatch, fmt, step):
+        # the 22 members, edges at 0, 1, 3, 6, 10, 11, 14, 16, 17, 21: passes
+        # of one member, passes ending at a group's first member (step 2 at
+        # member 1), at its last (step 3 at member 2), inside it (step 2 at
+        # member 7), and one pass of all
+        layout = cli._GROUPED_LAYOUTS[fmt]
+        columns, groups = self.grouped_columns()
+        monkeypatch.setattr(cli, "RENDER_BYTES", (step + 1) * self.width(layout) - 1)
+        got = list(cli._render(layout[1], layout[2], columns, layout[4]))
+        assert len(got) == -(-22 // step)
+        assert b"".join(got) == grouped_rows(layout, groups).encode()
+
+    def test_no_pass_exceeds_render_bytes_over_width(self, monkeypatch):
+        # in csv each member but the last is followed by one newline, that
+        # of the joiner or of the separator
+        layout = cli._GROUPED_LAYOUTS["csv"]
+        columns, _ = self.grouped_columns()
+        monkeypatch.setattr(cli, "RENDER_BYTES", 6 * self.width(layout) - 1)
+        members = [piece.count(b"\n") for piece in cli._render(layout[1], layout[2], columns, layout[4])]
+        members[-1] += 1
+        assert members == [5, 5, 5, 5, 2]
 
     @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
     @pytest.mark.parametrize("max_n", [2, 3, 64, 10**4])
-    @pytest.mark.parametrize("chunk", [1, 3, 7, series._CHUNK])
-    def test_series_matches_str_format(self, runner, monkeypatch, fmt, max_n, chunk):
-        # chunks of 1, 3 and 7 members are cut between groups all through
-        # the output, and a group of more members than that (radical 2 has
-        # 13 at 10**4) fills a chunk of its own
+    @pytest.mark.parametrize("chunk,render_bytes", [
+        (1, cli.RENDER_BYTES), (3, 1), (7, 300), (series._CHUNK, 300), (series._CHUNK, cli.RENDER_BYTES),
+    ])
+    def test_series_matches_str_format(self, runner, monkeypatch, fmt, max_n, chunk, render_bytes):
+        # sub-blocks of 1, 3 and 7 radicals, many of them with no squarefree
+        # number, rendered a member at a time or a few members at a time, so
+        # that passes end inside groups (radical 2 has 13 members at 10**4)
         monkeypatch.setattr(series, "_CHUNK", chunk)
+        monkeypatch.setattr(cli, "RENDER_BYTES", render_bytes)
         layout = cli._GROUPED_LAYOUTS[fmt]
         expected = layout[0] + grouped_rows(layout, radical_dict_groups(max_n)) + layout[3]
         got = run_ok(runner, ["series", str(max_n), "--grouped", "--format", fmt])
+        assert_same_text(got, expected)
+
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    def test_series_65538_ends_in_a_sub_block_of_no_group(self, runner, fmt):
+        # the last sub-block of radicals, [65538, 65539), holds no squarefree
+        # number: 65538 = 2 * 3**2 * 3641
+        layout = cli._GROUPED_LAYOUTS[fmt]
+        expected = layout[0] + grouped_rows(layout, radical_dict_groups(65538)) + layout[3]
+        got = run_ok(runner, ["series", "65538", "--grouped", "--format", fmt])
         assert_same_text(got, expected)
 
 
@@ -246,9 +320,10 @@ class TestTableCommand:
 
     @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
     def test_matches_text_rebuilt_from_table_values(self, runner, fmt):
-        # 70,000 rows cross a chunk boundary of the streaming writer
+        # 70,000 rows span passes of the renderer in every format: its
+        # lines are 12 bytes wide in plain and csv, 9 in json
         n_max = 70_000
-        assert n_max > cli.ROWS_PER_CHUNK
+        assert n_max > cli.RENDER_BYTES // 9
         values = totient_sieve(n_max, Convention.MODERN).values.tolist()
         expected = {
             "plain": "".join(f"{n} {v}\n" for n, v in enumerate(values, start=1)),
@@ -396,7 +471,8 @@ class TestFareyCommand:
         assert_same_text(run_ok(runner, ["farey", str(d), "--format", fmt]), expected)
 
     def test_470_crosses_a_chunk_boundary(self):
-        assert len(farey_sequence(470)) == 67_291 > cli.ROWS_PER_CHUNK
+        # the renderer's lines are 8 bytes wide in plain and csv
+        assert len(farey_sequence(470)) == 67_291 > cli.RENDER_BYTES // 8
 
     def test_700_crosses_a_block_seam(self):
         assert len(list(_farey_blocks(700))) == 2
@@ -428,7 +504,7 @@ class TestFareyCommand:
         assert result.exit_code == 3
         assert message in result.stderr
 
-    @pytest.mark.parametrize("fmt", ["plain", "json"])
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
     def test_count_disagreeing_with_walk_exits_3(self, runner, monkeypatch, fmt):
         monkeypatch.setattr(cli, "count_by_totient_sum", lambda d: 30)
         result = runner.invoke(cli.main, ["farey", "10", "--format", fmt])
@@ -508,6 +584,30 @@ class TestSeriesCommand:
         assert result.exit_code == 3
         assert "written phi sum=32 != Phi(N)-1=31 at N=10" in result.stderr
 
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    @pytest.mark.parametrize("fault,message", [
+        ("drop", "written member sum=46 != N(N+1)/2-1=54 at N=10"),
+        ("double", "written member sum=58 != N(N+1)/2-1=54 at N=10"),
+    ])
+    def test_corrupted_groups_fail_the_end_of_stream_sum(self, runner, monkeypatch, fmt,
+                                                         fault, message):
+        groups = cli._coefficient_groups
+
+        def corrupted_groups(max_n):
+            for radicals, nums, dens, edges, members in groups(max_n):
+                # radical 2 holds 2, 4, 8: 8 is dropped, or 4 written twice
+                assert members[:3].tolist() == [2, 4, 8]
+                if fault == "drop":
+                    members, edges = np.delete(members, 2), edges - (edges > 2)
+                else:
+                    members, edges = np.insert(members, 1, 4), edges + (edges > 0)
+                yield radicals, nums, dens, edges, members
+
+        monkeypatch.setattr(cli, "_coefficient_groups", corrupted_groups)
+        result = runner.invoke(cli.main, ["series", "10", "--grouped", "--format", fmt])
+        assert result.exit_code == 3
+        assert message in result.stderr
+
     @pytest.mark.parametrize("args", [["series", "100"], ["series", "100", "--grouped"]])
     def test_one_sieve_per_request(self, runner, monkeypatch, args):
         # one pass over the sieve's blocks, and no whole table
@@ -528,22 +628,22 @@ class TestSeriesCommand:
 @pytest.fixture(scope="module")
 def scalar_series_70000():
     """(n, phi, coefficient) for n = 2..70000 by trial-division totients:
-    69,999 rows cross a chunk boundary of the sieve's reduction and of the
-    writer."""
+    69,999 rows cross chunk boundaries of the sieve's reduction and span
+    passes of the renderer, whose plain and csv lines are 24 bytes wide."""
     rows = [(n, totient(n, EULER), Fraction(totient(n, EULER), n)) for n in range(2, 70_001)]
-    assert len(rows) > cli.ROWS_PER_CHUNK
+    assert len(rows) > max(series._CHUNK, cli.RENDER_BYTES // 24)
     return rows
 
 
 @pytest.fixture(scope="module")
 def radical_groups_110000():
     """(radical, coefficient, members) for 2..110000, grouped in a dict by
-    trial-division radicals: 66,879 groups cross a chunk of groups."""
+    trial-division radicals: 66,879 groups span sub-blocks of radicals."""
     by_radical: dict[int, list[int]] = {}
     for n in range(2, 110_001):
         by_radical.setdefault(radical(n), []).append(n)
     groups = [(r, phi_over_n(r), members) for r, members in sorted(by_radical.items())]
-    assert len(groups) == 66_879 > cli.ROWS_PER_CHUNK
+    assert len(groups) == 66_879 > series._CHUNK
     return groups
 
 

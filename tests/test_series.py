@@ -26,7 +26,6 @@ from totient_lab.series import (
     _coefficient_blocks,
     _coefficient_groups,
     _cofactors,
-    _group_chunks,
 )
 from reference_values import ROOT_EDGE_SIZES, sampled_entries
 
@@ -104,10 +103,11 @@ def radical_table_groups(max_n: int) -> tuple[np.ndarray, ...]:
 
 def concatenated_groups(max_n: int) -> tuple[np.ndarray, ...]:
     """The chunks of _coefficient_groups(max_n) laid end to end, in the
-    shape of radical_table_groups, after checking each chunk's edges."""
+    shape of radical_table_groups, after checking that each chunk holds a
+    group and spans its members with its edges."""
     chunks = list(_coefficient_groups(max_n))
     for _, _, _, edges, members in chunks:
-        assert edges[0] == 0 and edges[-1] == len(members)
+        assert len(edges) > 1 and edges[0] == 0 and edges[-1] == len(members)
     radicals, nums, dens, edges, members = zip(*chunks)
     return (*map(np.concatenate, (radicals, nums, dens)),
             np.concatenate([np.diff(e) for e in edges]), np.concatenate(members))
@@ -160,12 +160,14 @@ class TestCoefficientGroups:
         assert_groups_match_radical_table(max_n)
 
     @pytest.mark.parametrize("max_n", sorted(
-        {k * _CHUNK + 1 + d for k in (1, 2, 7) for d in (-1, 0, 1)}
+        {k * _CHUNK + 1 + d for k in (1, 2, 4, 7) for d in (-1, 0, 1)}
         | {sieve._BLOCK + d for d in (-1, 0, 1, 2)}
         | {99_500}
     ))
     def test_matches_radical_table_at_sub_block_and_block_seams(self, max_n):
-        # radicals are taken _CHUNK at a time from 2, in blocks of the sieve
+        # radicals are taken _CHUNK at a time from 2, in blocks of the sieve;
+        # at 4 * _CHUNK + 2 = 65538 the last sub-block, [65538, 65539), holds
+        # no squarefree number
         assert_groups_match_radical_table(max_n)
 
     @pytest.mark.parametrize("chunk", [1, 3, 7])
@@ -328,7 +330,8 @@ class TestGroupByCoefficient:
 
     @pytest.mark.parametrize("chunk", [1, 3, 7, _CHUNK])
     def test_matches_grouping_by_factorized_radical_to_1e4_in_chunks(self, monkeypatch, chunk):
-        # chunks of at most 1, 3 or 7 members, unless one group holds more
+        # sub-blocks of 1, 3 or 7 radicals, many of them with no squarefree
+        # number and so no group
         monkeypatch.setattr(series, "_CHUNK", chunk)
         assert_groups_match_factorized_radicals(10**4)
 
@@ -395,35 +398,3 @@ class TestGroupByCoefficient:
                 value = g.coefficient * member
                 assert value.denominator == 1
                 assert value.numerator == totient(member, EULER)
-
-
-def chunk_members(sizes: list[int]) -> list[int]:
-    """Members per chunk that _group_chunks cuts from groups of these
-    sizes, after checking that the chunks cover the groups in order."""
-    bounds = np.concatenate(([0], np.cumsum(sizes)))
-    chunks = list(_group_chunks(bounds))
-    assert [first for first, _ in chunks] == [0, *(end for _, end in chunks[:-1])]
-    assert all(first < end for first, end in chunks)
-    assert chunks[-1][1] == len(sizes)
-    return [int(bounds[end] - bounds[first]) for first, end in chunks]
-
-
-class TestGroupChunks:
-    @pytest.mark.parametrize("max_n", [500_000, 2_000_000])
-    def test_chunk_members_bounded_at_sizes_of_max_n(self, max_n):
-        # the first groups, of the small radicals, hold the most members
-        sizes = radical_table_groups(max_n)[3].tolist()
-        members = chunk_members(sizes)
-        assert len(members) > 1
-        assert max(members) <= _CHUNK + max(sizes)
-
-    @pytest.mark.parametrize("sizes", [
-        [1],
-        [_CHUNK],
-        [_CHUNK + 1],
-        [3, _CHUNK * 2, 5],
-        [_CHUNK - 1, 2, _CHUNK - 1],
-        [1] * (3 * _CHUNK + 7),
-    ])
-    def test_chunk_members_bounded(self, sizes):
-        assert max(chunk_members(sizes)) <= _CHUNK + max(sizes)

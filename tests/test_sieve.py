@@ -338,6 +338,14 @@ class TestBench:
         report = bench_totient_methods(100)
         assert set(report.executed_checksums()) == {weighted_sum(TOTIENT_1_TO_100)}
 
+    @pytest.mark.parametrize("max_n", [131_073, 2_000_000])
+    def test_sieve_route_sums_blocks_to_the_table_checksum(self, max_n):
+        # the route reads the sieve's blocks, a block past the first at
+        # 131,073, and holds no table
+        sieve_route = bench_totient_methods(max_n).results[-1]
+        assert sieve_route.method == "sieve"
+        assert sieve_route.checksum == totient_sieve(max_n, EULER).checksum()
+
 
 class TestPrimesUpTo:
     def test_matches_reference_sieve(self):

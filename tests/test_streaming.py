@@ -1,7 +1,7 @@
 """The streamed output of `farey`, `table` and `series`, and the memory of
-`count`, checked in child processes: peak memory stays flat as the output
-grows, grows by a fixed number of bytes per table entry, and a reader that
-stops early is not an error."""
+`count` and `bench`, checked in child processes: peak memory stays flat as
+the output grows, grows by a fixed number of bytes per table entry, and a
+reader that stops early is not an error."""
 
 import os
 import subprocess
@@ -75,6 +75,12 @@ class TestFlatMemory:
         per_entry = peak_rss_per_entry("count", "--method", "sum")
         assert per_entry <= 2, f"{per_entry:.1f} bytes per entry"
 
+    def test_bench_sieve_route_holds_no_table(self):
+        # only the sieve route runs at 2*10**7; a table of it and the
+        # weights n would take 320 MB
+        peak = peak_rss_bytes("bench", "20000000")
+        assert peak < 96 * 2**20, f"peak RSS {peak / 2**20:.0f} MiB"
+
     def test_count_at_the_table_limit_in_bounded_memory(self):
         # a whole table would take 800 MB here
         peak = peak_rss_bytes("count", str(SIEVE_LIMIT), "--method", "sum")
@@ -91,7 +97,7 @@ class TestFlatMemory:
     @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
     def test_series_grouped_peak_rss_per_entry(self, fmt):
         # the groups are made from 16,384 radicals of a block of the sieve
-        # at a time, and rendered and written about 16,384 members at a
+        # at a time, and the renderer lays out about 512 KiB of lines at a
         # time; what grows is the sieve's buffer of the primes <= N/2, and
         # the pairs of the first radicals, which hold the most members
         # (70 k at N = 5*10**5, 112 k at 2*10**6)
