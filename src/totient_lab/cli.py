@@ -5,6 +5,10 @@ benchmark.
 Output discipline: plain is human-readable ASCII; csv and json are
 byte-stable for identical inputs.  Exit codes: 0 success, 2 usage or
 domain error, 3 internal cross-check failure.
+
+Each command imports the library modules it runs, and numpy only where it
+renders or checks arrays, so `totient`, `--help` and `--version` load no
+numpy.
 """
 
 from __future__ import annotations
@@ -16,25 +20,15 @@ import os
 import re
 import string
 import sys
-from typing import Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 import click
-import numpy as np
 
 from . import __version__
 from .core import Convention, factorize, totient, totient_from_factorization
-from .farey import (
-    ENUMERATION_BOUND,
-    FAREY_MATERIALIZE_BOUND,
-    FareyCountReport,
-    count_by_enumeration,
-    count_by_exclusion,
-    count_by_totient_sum,
-    _farey_blocks,
-    _totient_sum,
-)
-from .series import _coefficient_blocks, _coefficient_groups
-from .sieve import _totient_blocks, bench_totient_methods
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _DECIMAL_RE = re.compile(r"[0-9]+")
 
@@ -137,6 +131,8 @@ def _render(row: str, sep: str, columns: tuple[np.ndarray, ...],
     member but the last, and the text after the field and the separator on
     the last; a member reads its group's values through its group index.
     """
+    import numpy as np
+
     pieces, separator = _pieces(row), [sep.encode()]
     if joiner is None:
         parts = [pieces + separator]
@@ -321,7 +317,7 @@ def _checked_sum(chunks: Iterable, column: int, name: str, identity: str,
     to expected(), the identity's value."""
     written = 0
     for chunk in chunks:
-        written += int(chunk[column].sum(dtype=np.uint64))
+        written += int(chunk[column].sum(dtype="uint64"))
         yield chunk
         del chunk
     if written != (value := expected()):
@@ -335,6 +331,11 @@ def _checked_sum(chunks: Iterable, column: int, name: str, identity: str,
 @_lib_errors
 def cmd_table(max_n: int, convention: str, fmt: str) -> None:
     """Totient values for every n in 1..MAX_N."""
+    import numpy as np
+
+    from .farey import _totient_sum
+    from .sieve import _totient_blocks
+
     conv = Convention(convention)
     less = 1 - conv.value_at_one  # the written totients add up to Phi(N) - less
     chunks = ((np.arange(lo, lo + len(values)), values) for lo, values in _totient_blocks(max_n, conv))
@@ -351,6 +352,9 @@ def cmd_table(max_n: int, convention: str, fmt: str) -> None:
 @_lib_errors
 def cmd_count(max_denominator: int, method: str, fmt: str) -> None:
     """Count the reduced fractions in (0, 1) with denominator <= MAX_DENOMINATOR."""
+    from .farey import (ENUMERATION_BOUND, count_by_enumeration, count_by_exclusion,
+                        count_by_totient_sum)
+
     d = max_denominator
     if method in ("sum", "enumerate"):
         count = count_by_totient_sum(d) if method == "sum" else count_by_enumeration(d)
@@ -395,7 +399,7 @@ def _check_neighbours(num: np.ndarray, den: np.ndarray, D: int) -> None:
     denominator is the sum of its neighbours'."""
     det = den[:-1] * num[1:] - num[:-1] * den[1:]
     spans = den[:-1] + den[1:]
-    bad = np.flatnonzero((det != 1) | (spans <= D) | (den[1:] > D))
+    bad = ((det != 1) | (spans <= D) | (den[1:] > D)).nonzero()[0]
     if bad.size:
         i = bad[0]
         raise CrossCheckError(
@@ -408,6 +412,10 @@ def _checked_farey_blocks(D: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """_farey_blocks(D), each block passed on once its terms are checked as
     neighbours of the term before them, from 0/1 before the first term to
     1/1 after the last."""
+    import numpy as np
+
+    from .farey import _farey_blocks
+
     last = np.array([0]), np.array([1])
     for num, den in _farey_blocks(D):
         _check_neighbours(np.concatenate((last[0], num)), np.concatenate((last[1], den)), D)
@@ -426,6 +434,8 @@ def _checked_farey_blocks(D: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
 def cmd_farey(max_denominator: int, fmt: str) -> None:
     """The reduced fractions in (0, 1) with denominator <= MAX_DENOMINATOR,
     in increasing order."""
+    from .farey import FAREY_MATERIALIZE_BOUND, count_by_totient_sum
+
     d = max_denominator
     if d > FAREY_MATERIALIZE_BOUND:
         raise DomainError(
@@ -484,6 +494,9 @@ _GROUPED_LAYOUTS = {
 def cmd_series(max_n: int, grouped: bool, fmt: str) -> None:
     """Series coefficients: totient(n) and the reduced rational totient(n)/n
     for n = 2..MAX_N."""
+    from .farey import _totient_sum
+    from .series import _coefficient_blocks, _coefficient_groups
+
     if grouped:  # the members are 2..N, each once
         _write_rows(_GROUPED_LAYOUTS[fmt], _checked_sum(_coefficient_groups(max_n), -1, "member",
                     "N(N+1)/2-1", lambda: max_n * (max_n + 1) // 2 - 1, max_n))
@@ -498,6 +511,8 @@ def cmd_series(max_n: int, grouped: bool, fmt: str) -> None:
 @_lib_errors
 def cmd_bench(max_n: int, fmt: str) -> None:
     """Time the totient routes over 1..MAX_N and cross-check their checksums."""
+    from .sieve import bench_totient_methods
+
     report = bench_totient_methods(max_n)
     agree = report.checksums_agree()
     results = [dataclasses.asdict(r) for r in report.results]

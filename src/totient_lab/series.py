@@ -23,6 +23,12 @@ import numpy as np
 from .core import Convention, factorize, totient
 from .sieve import _check_table_size, _totient_blocks, primes_up_to, totient_sieve
 
+#: Largest max_n the list functions (series_coefficients,
+#: integrated_series_coefficients, group_by_coefficient) take: they build
+#: about 48, 121 and 230 bytes of Python objects per entry (measured at
+#: 10**6 and 3*10**6).  The CLI's `series` streams, bounded by the sieve.
+SERIES_MATERIALIZE_BOUND = 10**7
+
 #: Rows reduced, and radicals grouped, at a time: it sizes the gcd and
 #: pairing temporaries; the renderer sizes its own passes.
 _CHUNK = 1 << 14
@@ -51,8 +57,17 @@ def radical(n: int) -> int:
     return result
 
 
+def _check_materialize(max_n: int) -> None:
+    if max_n > SERIES_MATERIALIZE_BOUND:
+        raise ValueError(
+            f"a list for max_n={max_n} exceeds the bound {SERIES_MATERIALIZE_BOUND}; "
+            f"the CLI's series streams beyond it"
+        )
+
+
 def series_coefficients(max_n: int) -> list[int]:
     """Totient values (EULER convention) for n = 1..max_n; entry 1 is 0."""
+    _check_materialize(max_n)
     if max_n < 2:
         raise ValueError(f"series needs max_n >= 2, got {max_n}")
     return totient_sieve(max_n, Convention.EULER).values.tolist()
@@ -80,6 +95,7 @@ def _coefficient_blocks(max_n: int) -> Iterator[tuple[np.ndarray, ...]]:
 
 def integrated_series_coefficients(max_n: int) -> list[Fraction]:
     """The reduced coefficients totient(n)/n for n = 2..max_n, in order."""
+    _check_materialize(max_n)
     return [
         Fraction(num, den)
         for _, _, nums, dens in _coefficient_blocks(max_n)
@@ -176,6 +192,7 @@ def _coefficient_groups(max_n: int) -> Iterator[tuple[np.ndarray, ...]]:
 def group_by_coefficient(max_n: int) -> list[CoefficientGroup]:
     """Partition 2..max_n into groups of equal totient(n)/n, keyed by
     radical, ascending."""
+    _check_materialize(max_n)
     groups = []
     for radicals, nums, dens, edges, members in _coefficient_groups(max_n):
         members, edges = members.tolist(), edges.tolist()

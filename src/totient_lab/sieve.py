@@ -7,10 +7,11 @@ in-place multiply per stride of each prime up to sqrt(max_n), then one
 scatter for the primes above it.  The counts, the benchmark and the CLI's
 `table` and `series` reduce or write the blocks as they come and hold no
 table; totient_sieve copies them into one.  On a 2-vCPU Xeon
-VM, 10**7 entries take about 0.4 s, and a pass over all 10**8 5-6 s with
-a peak RSS of 47 MiB.  The CLI's `count 100000000` makes no such pass: its
-exclusion sum reads the blocks of 1..5*10**7 (2.6-3.0 s, 41 MiB), and its
-totient sum a prefix of about D^(2/3) (`--method sum`: 0.35 s, 34 MiB).
+VM, summing the blocks of 10**7 entries took 0.22-0.29 s, and of all 10**8
+2.8-3.1 s with a peak RSS of 45 MiB.  The CLI's `count 100000000` makes no
+such pass: its exclusion sum reads the blocks of 1..5*10**7 (1.7 s,
+41 MiB), and its totient sum a prefix of about D^(2/3) (`--method sum`:
+0.21 s, 34 MiB).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .core import Convention, totient, totient_bruteforce
 #: Practical table-size limit; larger requests are refused.  A whole table
 #: (totient_sieve) costs 8 bytes per entry, roughly 800 MB at the limit.
 #: The block-by-block routes hold one block and 4 bytes per prime <= N/2,
-#: so for them the limit bounds time, 5-6 s for a pass over 10**8 entries.
+#: so for them the limit bounds time, 2.8-3.1 s for a pass over 10**8 entries.
 SIEVE_LIMIT = 10**8
 
 #: Per-method input bounds for the benchmark.  The brute-force route costs

@@ -9,7 +9,9 @@ import pytest
 from click.testing import CliRunner
 
 import totient_lab.cli as cli
+import totient_lab.farey as farey
 import totient_lab.series as series
+import totient_lab.sieve as sieve
 from totient_lab import (
     ENUMERATION_BOUND,
     BenchReport,
@@ -344,14 +346,14 @@ class TestTableCommand:
     ])
     def test_corrupted_block_fails_the_end_of_stream_sum(self, runner, monkeypatch,
                                                          convention, message):
-        blocks = cli._totient_blocks
+        blocks = sieve._totient_blocks
 
         def corrupted_blocks(max_n, conv):
             for lo, values in blocks(max_n, conv):
                 values[4] += 1  # totient(5) = 4 read as 5
                 yield lo, values
 
-        monkeypatch.setattr(cli, "_totient_blocks", corrupted_blocks)
+        monkeypatch.setattr(sieve, "_totient_blocks", corrupted_blocks)
         result = runner.invoke(cli.main, ["table", "12", "--convention", convention])
         assert result.exit_code == 3
         assert message in result.stderr
@@ -402,7 +404,7 @@ class TestCountCommand:
         assert json.loads(out) == {"max_denominator": 100, "method": "sum", "count": 3043}
 
     def test_cross_check_failure_exits_3(self, runner, monkeypatch):
-        monkeypatch.setattr(cli, "count_by_enumeration", lambda d: 999)
+        monkeypatch.setattr(farey, "count_by_enumeration", lambda d: 999)
         result = runner.invoke(cli.main, ["count", "20", "--method", "all"])
         assert result.exit_code == 3
         assert "disagree" in result.stderr
@@ -499,14 +501,14 @@ class TestFareyCommand:
             yield num[:i], den[:i]
             yield num[i:], den[i:]
 
-        monkeypatch.setattr(cli, "_farey_blocks", faulty_blocks)
+        monkeypatch.setattr(farey, "_farey_blocks", faulty_blocks)
         result = runner.invoke(cli.main, ["farey", "10", "--format", fmt])
         assert result.exit_code == 3
         assert message in result.stderr
 
     @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
     def test_count_disagreeing_with_walk_exits_3(self, runner, monkeypatch, fmt):
-        monkeypatch.setattr(cli, "count_by_totient_sum", lambda d: 30)
+        monkeypatch.setattr(farey, "count_by_totient_sum", lambda d: 30)
         result = runner.invoke(cli.main, ["farey", "10", "--format", fmt])
         assert result.exit_code == 3
         assert "wrote 31 fractions at D=10, count_by_totient_sum gives 30" in result.stderr
@@ -572,14 +574,14 @@ class TestSeriesCommand:
 
     @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
     def test_corrupted_block_fails_the_end_of_stream_sum(self, runner, monkeypatch, fmt):
-        blocks = cli._coefficient_blocks
+        blocks = series._coefficient_blocks
 
         def corrupted_blocks(max_n):
             for n, phi, num, den in blocks(max_n):
                 phi[5] += 1  # totient(7) = 6 read as 7
                 yield n, phi, num, den
 
-        monkeypatch.setattr(cli, "_coefficient_blocks", corrupted_blocks)
+        monkeypatch.setattr(series, "_coefficient_blocks", corrupted_blocks)
         result = runner.invoke(cli.main, ["series", "10", "--format", fmt])
         assert result.exit_code == 3
         assert "written phi sum=32 != Phi(N)-1=31 at N=10" in result.stderr
@@ -591,7 +593,7 @@ class TestSeriesCommand:
     ])
     def test_corrupted_groups_fail_the_end_of_stream_sum(self, runner, monkeypatch, fmt,
                                                          fault, message):
-        groups = cli._coefficient_groups
+        groups = series._coefficient_groups
 
         def corrupted_groups(max_n):
             for radicals, nums, dens, edges, members in groups(max_n):
@@ -603,7 +605,7 @@ class TestSeriesCommand:
                     members, edges = np.insert(members, 1, 4), edges + (edges > 0)
                 yield radicals, nums, dens, edges, members
 
-        monkeypatch.setattr(cli, "_coefficient_groups", corrupted_groups)
+        monkeypatch.setattr(series, "_coefficient_groups", corrupted_groups)
         result = runner.invoke(cli.main, ["series", "10", "--grouped", "--format", fmt])
         assert result.exit_code == 3
         assert message in result.stderr
@@ -723,7 +725,7 @@ class TestJsonBytes:
     def test_bench(self, runner, monkeypatch, max_n):
         # one report, timings included, feeds both the CLI and the payload
         report = bench_totient_methods(max_n)
-        monkeypatch.setattr(cli, "bench_totient_methods", lambda n: report)
+        monkeypatch.setattr(sieve, "bench_totient_methods", lambda n: report)
         payload = {
             "max_n": max_n,
             "results": [
@@ -767,7 +769,7 @@ class TestBenchCommand:
     )
 
     def test_csv_bytes(self, runner, monkeypatch):
-        monkeypatch.setattr(cli, "bench_totient_methods", lambda n: self.FIXED_REPORT)
+        monkeypatch.setattr(sieve, "bench_totient_methods", lambda n: self.FIXED_REPORT)
 
         def field(value):
             if value is None:
@@ -784,7 +786,7 @@ class TestBenchCommand:
         assert run_ok(runner, ["bench", "20000", "--format", "csv"]) == expected
 
     def test_plain_bytes(self, runner, monkeypatch):
-        monkeypatch.setattr(cli, "bench_totient_methods", lambda n: self.FIXED_REPORT)
+        monkeypatch.setattr(sieve, "bench_totient_methods", lambda n: self.FIXED_REPORT)
         expected = "".join(
             f"{r.method}: {r.seconds:.6f} s, checksum {r.checksum}\n" if r.executed
             else f"{r.method}: skipped ({r.skip_reason})\n"
@@ -811,7 +813,7 @@ class TestBenchCommand:
                 MethodResult("sieve", True, 0.1, 2),
             ),
         )
-        monkeypatch.setattr(cli, "bench_totient_methods", lambda n: fake)
+        monkeypatch.setattr(sieve, "bench_totient_methods", lambda n: fake)
         result = runner.invoke(cli.main, ["bench", "10"])
         assert result.exit_code == 3
         assert "disagree" in result.stderr

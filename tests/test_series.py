@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from totient_lab import (
+    SERIES_MATERIALIZE_BOUND,
     SIEVE_LIMIT,
     Convention,
     factorize,
@@ -246,6 +247,19 @@ class TestSeriesCoefficients:
     def test_small_rejected(self):
         with pytest.raises(ValueError):
             series_coefficients(1)
+
+
+class TestMaterializeBound:
+    @pytest.mark.parametrize("route", [series_coefficients, integrated_series_coefficients,
+                                       group_by_coefficient])
+    def test_refused_above_the_bound_before_any_work(self, monkeypatch, route):
+        def no_sieve(*args, **kwargs):
+            raise AssertionError("sieved a list above the bound")
+
+        for name in ("_totient_blocks", "totient_sieve", "primes_up_to"):
+            monkeypatch.setattr(series, name, no_sieve)
+        with pytest.raises(ValueError, match=f"exceeds the bound {SERIES_MATERIALIZE_BOUND};"):
+            route(SERIES_MATERIALIZE_BOUND + 1)
 
 
 class TestIntegratedSeries:
