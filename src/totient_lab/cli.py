@@ -189,32 +189,33 @@ def _render(row: str, sep: str, columns: tuple[np.ndarray, ...],
         yield lay_out(a, min(a + step, rows))
 
 
-def _write_rows(layout: tuple[str, ...], chunks: Iterable, **fields) -> int:
+def _write_rows(layout: tuple[str, ...], chunks: Iterable, **fields) -> None:
     """Write a layout (head, row template, separator, tail), or one of
     grouped rows (head, row template, separator, tail, joiner): the head,
-    the rows joined by the separator, then the tail; return the number of
-    rows written.  Head and tail are templates filled from fields.
+    the rows joined by the separator, then the tail.  Head and tail are
+    templates filled from fields.
 
     chunks yields the rows a chunk at a time, each a tuple of numpy integer
     columns rendered by _render (with the layout's joiner, if it has one),
     which bounds the memory a render takes.  Each chunk's pieces are
     written to the binary stdout before the next chunk is asked for.
-    The head goes out with the first chunk, so nothing is written before
-    the first row: a producer that refuses its input when that row is
-    asked for leaves stdout empty.  A reader that closes the pipe early
-    ends the command with exit code 0 and nothing on stderr.
+    The head goes out with the first chunk and the tail after the last, so
+    a producer that refuses its input when the first row is asked for
+    leaves stdout empty, and one that raises after its last chunk leaves no
+    tail.  A reader that closes the pipe early ends the command with exit
+    code 0 and nothing on stderr.
     """
     head, row, sep, tail, *joiner = layout
     out = click.get_binary_stream("stdout")
     before = head.format(**fields).encode()  # what goes out ahead of the next chunk
-    written = 0
+    wrote = False
     try:
         for chunk in chunks:
             out.write(before)
             out.writelines(_render(row, sep, chunk, *joiner))
-            before, written = sep.encode(), written + len(chunk[0])
+            before, wrote = sep.encode(), True
             del chunk  # not held while the next chunk is made
-        out.write((b"" if written else before) + tail.format(**fields).encode())
+        out.write((b"" if wrote else before) + tail.format(**fields).encode())
         out.flush()
     except BrokenPipeError:
         # Later flushes, at exit included, go to /dev/null instead of failing.
@@ -222,7 +223,6 @@ def _write_rows(layout: tuple[str, ...], chunks: Iterable, **fields) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         raise click.exceptions.Exit(0) from None
-    return written
 
 
 def _write_lines(lines: Iterable) -> None:
@@ -408,23 +408,28 @@ def _check_neighbours(num: np.ndarray, den: np.ndarray, D: int) -> None:
         )
 
 
-def _checked_farey_blocks(D: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _checked_farey_blocks(D: int, count: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """_farey_blocks(D), each block passed on once its terms are checked as
     neighbours of the term before them, from 0/1 before the first term to
-    1/1 after the last."""
+    1/1 after the last; after the last block, raise CrossCheckError unless
+    they hold count terms."""
     import numpy as np
 
     from .farey import _farey_blocks
 
-    last = np.array([0]), np.array([1])
+    last, written = (np.array([0]), np.array([1])), 0
     for num, den in _farey_blocks(D):
         _check_neighbours(np.concatenate((last[0], num)), np.concatenate((last[1], den)), D)
+        written += len(num)
         yield num, den
         # copies, not views, and no names held: the block is freed before
         # the next one is made
         last = num[-1:].copy(), den[-1:].copy()
         del num, den
     _check_neighbours(np.append(last[0], 1), np.append(last[1], 1), D)
+    if written != count:
+        raise CrossCheckError(f"farey blocks wrote {written} fractions at D={D}, "
+                              f"count_by_totient_sum gives {count}")
 
 
 @main.command("farey")
@@ -434,22 +439,13 @@ def _checked_farey_blocks(D: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
 def cmd_farey(max_denominator: int, fmt: str) -> None:
     """The reduced fractions in (0, 1) with denominator <= MAX_DENOMINATOR,
     in increasing order."""
-    from .farey import FAREY_MATERIALIZE_BOUND, count_by_totient_sum
+    from .farey import count_by_totient_sum
 
     d = max_denominator
-    if d > FAREY_MATERIALIZE_BOUND:
-        raise DomainError(
-            f"D={d} exceeds the sequence bound {FAREY_MATERIALIZE_BOUND}"
-        )
     # the count comes from the totient sum, and is checked against the rows
     # written; the terms are checked as neighbours
     count = count_by_totient_sum(d)
-    written = _write_rows(_FAREY_LAYOUTS[fmt], _checked_farey_blocks(d), d=d, count=count)
-    if written != count:
-        raise CrossCheckError(
-            f"farey blocks wrote {written} fractions at D={d}, "
-            f"count_by_totient_sum gives {count}"
-        )
+    _write_rows(_FAREY_LAYOUTS[fmt], _checked_farey_blocks(d, count), d=d, count=count)
 
 
 #: Per format: head, row template for (n, phi, num, den), row separator,

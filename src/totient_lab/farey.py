@@ -13,8 +13,8 @@ All counting is exact integer arithmetic.  The sequence's terms are
 fractions.Fraction, the type the series module returns too.  They come in
 order two ways, neither using floating point: the neighbor walk steps from
 each term to the next in O(1) memory, and the value windows of
-_farey_blocks sort each window's reduced fractions in numpy by an exact
-integer key.
+_farey_blocks give each value one slot of an exact integer key, into which
+numpy scatters the value's reduced form.
 """
 
 from __future__ import annotations
@@ -35,10 +35,10 @@ ENUMERATION_BOUND = 10**4
 
 #: farey_sequence materializes about 3 D^2 / pi^2 fraction objects (roughly
 #: 2 GB at this bound); iter_farey_pairs and iter_farey_sequence stream
-#: without that cost.  farey_sequence and the CLI's `farey` read the terms
-#: from _farey_blocks, whose sort keys stay exact in int64 up to this bound
-#: and far beyond; the CLI writes them a block at a time, so there the bound
-#: limits time (about 30 M rows), not memory.
+#: without that cost.  _farey_blocks, which farey_sequence and the CLI's
+#: `farey` read, refuses D above it; its window keys stay exact in int64 far
+#: beyond.  The CLI writes a block at a time, so there the bound limits time
+#: (about 30 M rows), not memory.
 FAREY_MATERIALIZE_BOUND = 10**4
 
 #: Terms per block of _farey_blocks, roughly: F_D has about 3 D^2 / pi^2
@@ -235,18 +235,24 @@ def _farey_blocks(D: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     arrays, one value window [i/M, (i+1)/M) at a time, M = _farey_windows(D).
 
     A window's candidates are the a/b with b <= D and
-    ceil(i b / M) <= a < ceil((i+1) b / M), denominators ascending.  They
-    are stably sorted by the integer key (a M - i b) K // b, which is
-    floor(K M (a/b - i/M)) with K = ceil(D^2 / M): distinct values lie at
-    least 1/D^2 apart, so their keys differ by at least K M / D^2 >= 1,
-    and equal values share a key.  The first of each run of equal keys has
-    the least denominator, the value's reduced form, and is a term.
-    K <= 6 * _BLOCK and M <= max(1, D^2 / (3 * _BLOCK)), so every product
-    stays below max(6 * _BLOCK * D, D^3 / (3 * _BLOCK)), inside int64 for D
-    up to the table limit.  A window costs O(D) besides its terms.  D >= 2
-    is checked when the first block is asked for.
+    ceil(i b / M) <= a < ceil((i+1) b / M), denominators ascending.  Their
+    keys (a M - i b) K // b = floor(K M (a/b - i/M)) lie in [0, K) with
+    K = ceil(D^2 / M): distinct values lie at least 1/D^2 apart, so their
+    keys differ by at least K M / D^2 >= 1, and equal values share a key.
+    np.minimum.at keeps in each key's slot the least index of its
+    candidates; a value's forms a/b, 2a/2b, ... come in that order, so that
+    is its reduced form.  The filled slots, in key order, are the
+    window's terms ascending.  K <= 6 * _BLOCK and
+    M <= max(1, D^2 / (3 * _BLOCK)), so every product stays below
+    max(6 * _BLOCK * D, D^3 / (3 * _BLOCK)), inside int64 for
+    D <= FAREY_MATERIALIZE_BOUND and far beyond.  A window costs O(D)
+    besides its terms.  D is checked, against 2 and the bound, when the
+    first block is asked for.
     """
     _check_denominator(D)
+    if D > FAREY_MATERIALIZE_BOUND:
+        raise ValueError(f"D={D} exceeds the sequence bound {FAREY_MATERIALIZE_BOUND}; "
+                         "iter_farey_pairs and iter_farey_sequence stream beyond it")
     M = _farey_windows(D)
     K = -(-D * D // M)
     b = np.arange(1, D + 1, dtype=np.int64)
@@ -261,24 +267,17 @@ def _farey_blocks(D: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         key -= i * den
         key *= K
         key //= den
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        first = np.ones(len(key), dtype=bool)
-        first[1:] = key[1:] != key[:-1]
-        order = order[first]
-        num, den = num[order], den[order]
-        del key, order, first  # not held while the block is consumed
+        first = np.full(K, len(key), dtype=np.int32)  # len(key) marks an empty slot
+        np.minimum.at(first, key, np.arange(len(key), dtype=np.int32))
+        first = first[first < len(key)]
+        num, den = num[first], den[first]
+        del key, first  # not held while the block is consumed
         yield num, den
 
 
 def farey_sequence(max_denominator: int) -> list[Fraction]:
-    """iter_farey_sequence as a list, read from _farey_blocks; its length
-    equals count_by_totient_sum(D)."""
-    if max_denominator > FAREY_MATERIALIZE_BOUND:
-        raise ValueError(
-            f"materializing D={max_denominator} needs ~3 D^2 / pi^2 objects; "
-            f"the bound is {FAREY_MATERIALIZE_BOUND}, use iter_farey_sequence instead"
-        )
+    """iter_farey_sequence as a list, read from _farey_blocks (which refuses
+    D above FAREY_MATERIALIZE_BOUND); its length is count_by_totient_sum(D)."""
     return [
         Fraction(a, b)
         for num, den in _farey_blocks(max_denominator)

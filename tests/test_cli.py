@@ -438,9 +438,14 @@ class TestFareyCommand:
             (f.numerator, f.denominator) for f in farey_sequence(6)
         ]
 
-    def test_bound_refused(self, runner):
-        result = runner.invoke(cli.main, ["farey", "10001"])
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    def test_bound_refused(self, runner, fmt):
+        # _farey_blocks refuses it when the first block is asked for, so
+        # before the head is written
+        result = runner.invoke(cli.main, ["farey", "10001", "--format", fmt])
         assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "sequence bound" in result.stderr
 
     @pytest.mark.parametrize("args", [
         ["farey", "0"],
@@ -512,6 +517,9 @@ class TestFareyCommand:
         result = runner.invoke(cli.main, ["farey", "10", "--format", fmt])
         assert result.exit_code == 3
         assert "wrote 31 fractions at D=10, count_by_totient_sum gives 30" in result.stderr
+        # checked after the last row and before the tail
+        assert "count:" not in result.stdout
+        assert "]\n}" not in result.stdout
 
 
 class TestSeriesCommand:

@@ -313,9 +313,16 @@ class TestFareyBlocks:
     def test_window_count_changes_below_1000(self):
         assert WINDOW_COUNT_CHANGES and _farey_windows(1000) > 1
 
-    @pytest.mark.parametrize("d", sorted({x for c in WINDOW_COUNT_CHANGES for x in (c - 1, c)}))
+    # and D = 1500, 11 windows, the size of the benchmark's farey run
+    @pytest.mark.parametrize("d", sorted({x for c in WINDOW_COUNT_CHANGES for x in (c - 1, c)}
+                                         | {1500}))
     def test_match_walk_where_window_count_changes(self, d):
         assert block_pairs(d) == list(iter_farey_pairs(d))
+
+    def test_bound_refused_at_first_block(self):
+        blocks = _farey_blocks(FAREY_MATERIALIZE_BOUND + 1)
+        with pytest.raises(ValueError, match="exceeds the sequence bound"):
+            next(blocks)
 
     def test_ends_and_count_at_materialize_bound(self):
         d = FAREY_MATERIALIZE_BOUND

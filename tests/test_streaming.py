@@ -52,10 +52,11 @@ def peak_rss_per_entry(command: str, *options: str) -> float:
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB, Linux exec semantics")
 class TestFlatMemory:
-    def test_farey_csv_peak_rss_flat_as_d_grows_4x(self):
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_farey_peak_rss_flat_as_d_grows_4x(self, fmt):
         # the output grows from 0.08 M to 1.2 M rows
-        small = peak_rss_bytes("farey", "500", "--format", "csv")
-        large = peak_rss_bytes("farey", "2000", "--format", "csv")
+        small = peak_rss_bytes("farey", "500", "--format", fmt)
+        large = peak_rss_bytes("farey", "2000", "--format", fmt)
         assert large - small < 8 * 2**20, f"peak RSS {small} -> {large} bytes"
 
     def test_table_csv_peak_rss_per_entry(self):
