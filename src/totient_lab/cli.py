@@ -9,12 +9,21 @@ domain error, 3 internal cross-check failure.
 Each command imports the library modules it runs, and numpy only where it
 renders or checks arrays, so `totient`, `--help` and `--version` load no
 numpy.
+
+The program enters through `run`, not the click group `main`.  A request
+is one short process, and `run` spares it two fixed costs its work never
+needs: OpenBLAS's pool of one thread per CPU, which importing numpy
+starts although no command calls BLAS (numpy's own integer loops do every
+dot product and sum), and the shutdown collections' walk over every
+object numpy and click made.  The library modules never touch the
+environment: only the program does.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import gc
 import json
 import os
 import re
@@ -490,13 +499,14 @@ _GROUPED_LAYOUTS = {
 def cmd_series(max_n: int, grouped: bool, fmt: str) -> None:
     """Series coefficients: totient(n) and the reduced rational totient(n)/n
     for n = 2..MAX_N."""
-    from .farey import _totient_sum
     from .series import _coefficient_blocks, _coefficient_groups
 
     if grouped:  # the members are 2..N, each once
         _write_rows(_GROUPED_LAYOUTS[fmt], _checked_sum(_coefficient_groups(max_n), -1, "member",
                     "N(N+1)/2-1", lambda: max_n * (max_n + 1) // 2 - 1, max_n))
     else:  # the rows start at n = 2, so their totients add up to Phi(N) - 1
+        from .farey import _totient_sum
+
         _write_rows(_SERIES_LAYOUTS[fmt], _checked_sum(_coefficient_blocks(max_n), 1, "phi",
                     "Phi(N)-1", lambda: _totient_sum(max_n) - 1, max_n))
 
@@ -535,5 +545,24 @@ def cmd_bench(max_n: int, fmt: str) -> None:
         )
 
 
+def run() -> None:
+    """The program: main, with OpenBLAS held to one thread and the objects
+    left at exit frozen.
+
+    Set before numpy is first imported, OPENBLAS_NUM_THREADS=1 keeps
+    OpenBLAS from starting a worker thread per CPU that no command uses
+    and that spins while the request runs; a value the user set is kept.
+    gc.freeze() moves every object alive at exit (numpy's and click's
+    modules, mostly) into the permanent generation, which the collections
+    at interpreter shutdown skip.  main exits through SystemExit, so the
+    freeze sits in a finally.
+    """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    try:
+        main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    main()
+    run()
