@@ -8,15 +8,16 @@ domain error, 3 internal cross-check failure.
 
 Each command imports the library modules it runs, and numpy only where it
 renders or checks arrays, so `totient`, `--help` and `--version` load no
-numpy.
+numpy.  json is imported only to write a json record, and string only to
+parse a row template.
 
 The program enters through `run`, not the click group `main`.  A request
-is one short process, and `run` spares it two fixed costs its work never
+is one short process, and `run` spares it fixed costs its work never
 needs: OpenBLAS's pool of one thread per CPU, which importing numpy
 starts although no command calls BLAS (numpy's own integer loops do every
-dot product and sum), and the shutdown collections' walk over every
-object numpy and click made.  The library modules never touch the
-environment: only the program does.
+dot product and sum), and the cyclic collections' walks, during the run
+and at shutdown, over every object numpy and click made.  The library
+modules never touch the environment: only the program does.
 """
 
 from __future__ import annotations
@@ -24,10 +25,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 import gc
-import json
 import os
 import re
-import string
 import sys
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
@@ -106,6 +105,8 @@ def _lib_errors(fn):
 def _pieces(template: str) -> list[bytes | int]:
     """A template's literal text, as bytes, and its fields, bare {} or {i},
     as column indices, in order."""
+    import string
+
     pieces: list[bytes | int] = []
     auto = 0
     for literal, field, _, _ in string.Formatter().parse(template):
@@ -245,7 +246,7 @@ def _csv_value(value) -> str:
     if value is None:
         return ""
     if isinstance(value, bool):
-        return json.dumps(value)
+        return "true" if value else "false"
     if isinstance(value, float):
         return f"{value:.6f}"
     return str(value)
@@ -256,6 +257,8 @@ def _write_record(fmt: str, fields: dict) -> None:
     header of the names over one line of values, or as "name: value" lines
     that leave out the missing ones."""
     if fmt == "json":
+        import json
+
         _write_lines([json.dumps(fields, indent=2)])
     elif fmt == "csv":
         _write_lines([",".join(fields), ",".join(map(_csv_value, fields.values()))])
@@ -546,18 +549,22 @@ def cmd_bench(max_n: int, fmt: str) -> None:
 
 
 def run() -> None:
-    """The program: main, with OpenBLAS held to one thread and the objects
-    left at exit frozen.
+    """The program: main, with OpenBLAS held to one thread, the cyclic
+    collector off, and the objects left at exit frozen.
 
     Set before numpy is first imported, OPENBLAS_NUM_THREADS=1 keeps
     OpenBLAS from starting a worker thread per CPU that no command uses
     and that spins while the request runs; a value the user set is kept.
+    gc.disable() spares the request the collections that importing numpy
+    and click would set off: the commands' arrays and pieces are freed by
+    their reference counts, and make no cycles that grow with the input.
     gc.freeze() moves every object alive at exit (numpy's and click's
     modules, mostly) into the permanent generation, which the collections
     at interpreter shutdown skip.  main exits through SystemExit, so the
     freeze sits in a finally.
     """
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    gc.disable()
     try:
         main()
     finally:

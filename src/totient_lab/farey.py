@@ -7,10 +7,12 @@ The totient sum is not summed over a sieve of all D entries: the paper's
 exclusion identity, applied to its own quotients, gives it from a sieve
 prefix up to about D^(2/3) in O(D^(2/3)) (_totient_sum, 0.03 s at 10**8 on
 a 2-vCPU VM).  The exclusion route sieves 1..D/2, the only k with a
-nonzero term, so the two routes share no pass over the sieve.
+nonzero term, and weights each run of k with equal floor(D/k) once, with
+one sum of its totients, so the two routes share no pass over the sieve.
 
 All counting is exact integer arithmetic.  The sequence's terms are
-fractions.Fraction, the type the series module returns too.  They come in
+fractions.Fraction, the type the series module returns too; only the
+functions that build them import fractions.  They come in
 order two ways, neither using floating point: the neighbor walk steps from
 each term to the next in O(1) memory, and the value windows of
 _farey_blocks give each value one slot of an exact integer key, into which
@@ -21,14 +23,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import starmap
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
 from .core import Convention
 from .sieve import SIEVE_LIMIT, _totient_blocks
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 #: count_by_enumeration is O(D^2 log D); it refuses D above this.
 ENUMERATION_BOUND = 10**4
@@ -77,8 +81,9 @@ class FareyCountReport:
         ``"lhs=value != rhs=value"``, or None when every one holds.
 
         count_by_exclusion = count_by_totient_sum spans two algorithms: a
-        sieve of k <= D/2 weighted by floor(D/k) - 1, against the recursion
-        of _totient_sum over the quotients of D on a prefix of D^(2/3)."""
+        sieve of k <= D/2 weighted by floor(D/k) - 1 and summed per run of
+        equal floor(D/k), against the recursion of _totient_sum over the
+        quotients of D on a prefix of D^(2/3)."""
         d = self.max_denominator
         identities = [
             ("total_unreduced", self.total_unreduced, "D(D-1)/2", d * (d - 1) // 2),
@@ -154,6 +159,14 @@ def count_by_exclusion(max_denominator: int) -> FareyCountReport:
     (floor(D/k) - 1) * totient(k) exclusions.  Terms with floor(D/k) < 2
     contribute nothing, so the sum stops after k = floor(D/2), and the
     sieve's blocks are read for k = 1..floor(D/2) only, holding no table.
+
+    The weight floor(D/k) - 1 is constant over each run of k that share
+    floor(D/k), fewer than 2 sqrt(D) runs: each k <= r = isqrt(D) is one,
+    and the larger k run from D // (q + 1) + 1 for q = D // (r + 1) down
+    to 2.  The first of those is r + 1 (D // (q + 1) is r itself, as in
+    _totient_sum), so the starts ascend strictly.  Each block sums its
+    totients over the runs it meets with one reduceat, from its own first
+    k, and takes one dot with the runs' weights: no division per entry.
     The count_by_totient_sum field comes from _totient_sum, another
     algorithm on another sieve prefix, so the two counts check each other;
     count_by_enumeration is the independent oracle.
@@ -161,14 +174,17 @@ def count_by_exclusion(max_denominator: int) -> FareyCountReport:
     D = max_denominator
     _check_denominator(D)
     total_unreduced = D * (D - 1) // 2
+    r = math.isqrt(D)
+    starts = np.concatenate((np.arange(1, r + 1, dtype=np.int64),
+                             D // np.arange(D // (r + 1) + 1, 2, -1, dtype=np.int64) + 1))
     excluded = 0
     for lo, phi in _totient_blocks(D // 2, Convention.EULER):
-        # one buffer per block: k, then floor(D/k) - 1; the k=1 term is 0,
-        # as totient(1) is
-        terms = np.arange(lo, lo + len(phi), dtype=np.uint64)
-        np.floor_divide(D, terms, out=terms)
-        terms -= 1
-        excluded += int(np.dot(terms, phi))
+        # the block's runs: from lo, then from each start inside the block;
+        # the k=1 term is 0, as totient(1) is
+        first, last = np.searchsorted(starts, (lo, lo + len(phi) - 1), side="right")
+        runs = np.concatenate(([lo], starts[first:last]))
+        weights = (D // runs - 1).astype(np.uint64)
+        excluded += int(np.dot(weights, np.add.reduceat(phi, runs - lo)))
     return FareyCountReport(
         max_denominator=D,
         total_unreduced=total_unreduced,
@@ -222,6 +238,8 @@ def _neighbor_walk(D: int) -> Iterator[tuple[int, int]]:
 
 def iter_farey_sequence(max_denominator: int) -> Iterator[Fraction]:
     """iter_farey_pairs as fractions.Fraction values."""
+    from fractions import Fraction
+
     return starmap(Fraction, iter_farey_pairs(max_denominator))
 
 
@@ -278,6 +296,8 @@ def _farey_blocks(D: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
 def farey_sequence(max_denominator: int) -> list[Fraction]:
     """iter_farey_sequence as a list, read from _farey_blocks (which refuses
     D above FAREY_MATERIALIZE_BOUND); its length is count_by_totient_sum(D)."""
+    from fractions import Fraction
+
     return [
         Fraction(a, b)
         for num, den in _farey_blocks(max_denominator)

@@ -7,21 +7,24 @@ exactness).  They are reduced in integer numpy arithmetic, num/den =
 (phi/g)/(n/g) with g = gcd(phi, n), a chunk of the sieve's blocks at a
 time, and the groups are made from the same blocks, with no radical table.
 Both leave this module as integer arrays, rendered by the CLI as they come.
-fractions.Fraction values are built only for the library's lists, by
-integrated_series_coefficients and group_by_coefficient.
+fractions.Fraction values are built only by phi_over_n and for the
+library's lists, by integrated_series_coefficients and
+group_by_coefficient; only these import fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
 from .core import Convention, factorize, totient
 from .sieve import _check_table_size, _totient_blocks, primes_up_to, totient_sieve
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 #: Largest max_n the list functions (series_coefficients,
 #: integrated_series_coefficients, group_by_coefficient) take: they build
@@ -41,6 +44,8 @@ def phi_over_n(n: int) -> Fraction:
     n = 1 is rejected: its totient is 0 under the EULER convention, so the
     would-be coefficient carries no information.
     """
+    from fractions import Fraction
+
     if n < 2:
         raise ValueError(f"phi_over_n needs n >= 2, got {n}")
     return Fraction(totient(n, Convention.EULER), n)
@@ -95,6 +100,8 @@ def _coefficient_blocks(max_n: int) -> Iterator[tuple[np.ndarray, ...]]:
 
 def integrated_series_coefficients(max_n: int) -> list[Fraction]:
     """The reduced coefficients totient(n)/n for n = 2..max_n, in order."""
+    from fractions import Fraction
+
     _check_materialize(max_n)
     return [
         Fraction(num, den)
@@ -192,6 +199,8 @@ def _coefficient_groups(max_n: int) -> Iterator[tuple[np.ndarray, ...]]:
 def group_by_coefficient(max_n: int) -> list[CoefficientGroup]:
     """Partition 2..max_n into groups of equal totient(n)/n, keyed by
     radical, ascending."""
+    from fractions import Fraction
+
     _check_materialize(max_n)
     groups = []
     for radicals, nums, dens, edges, members in _coefficient_groups(max_n):

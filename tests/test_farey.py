@@ -62,6 +62,27 @@ def sieve_count_by_totient_sum(max_denominator: int) -> int:
     )
 
 
+def per_entry_excluded(max_denominator: int) -> int:
+    """The earlier exclusion sum, kept as an oracle for count_by_exclusion's
+    runs: per block of the sieve of 1..D/2, floor(D/k) - 1 for every k by
+    one floor division, and one dot with the block's totients."""
+    D, excluded = max_denominator, 0
+    for lo, phi in _totient_blocks(D // 2, Convention.EULER):
+        terms = np.arange(lo, lo + len(phi), dtype=np.uint64)
+        np.floor_divide(D, terms, out=terms)
+        terms -= 1
+        excluded += int(np.dot(terms, phi))
+    return excluded
+
+
+#: D around the squares where the runs of equal floor(D/k) change from one k
+#: each to many, and D whose D // 2 lies at and around the sieve's block edges.
+RUN_SEAMS = sorted(
+    [r * r + delta for r in (300, 362, 512, 1000, 2236) for delta in (-1, 0, 1)]
+    + [2 * m * _BLOCK + delta for m in (1, 2, 3) for delta in range(-2, 4)]
+)
+
+
 def seed_cofactors(D: int) -> int:
     """How many big[j] _totient_sum fills above its sieve prefix, as it
     sizes the prefix."""
@@ -176,6 +197,19 @@ class TestCountByExclusion:
             k += 1
         assert k <= d // 2 + 1
         assert count_by_exclusion(d).excluded == expected
+
+    def test_excluded_matches_per_entry_route_to_3000(self):
+        bad = [d for d in range(2, 3001) if count_by_exclusion(d).excluded != per_entry_excluded(d)]
+        assert not bad, f"first wrong D={bad[0]}"
+
+    @pytest.mark.parametrize("d", [*RUN_SEAMS, 10**7])
+    def test_excluded_matches_per_entry_route_at_seams(self, d):
+        assert count_by_exclusion(d).excluded == per_entry_excluded(d)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 3 * 10**5))
+    def test_excluded_matches_per_entry_route(self, d):
+        assert count_by_exclusion(d).excluded == per_entry_excluded(d)
 
     def test_consistent_flags_disagreement(self):
         bad = FareyCountReport(

@@ -40,6 +40,16 @@ finally:
                       os.environ.get("OPENBLAS_NUM_THREADS")]), file=sys.stderr)
 """
 
+# Runs the CLI as `python -m totient_lab.cli` does, then writes on the last
+# line of stderr whether the cyclic collector was on when the CLI exited.
+_COLLECTOR_PROBE = """
+import gc, runpy, sys
+try:
+    runpy.run_module("totient_lab.cli", run_name="__main__", alter_sys=True)
+finally:
+    print(gc.isenabled(), file=sys.stderr)
+"""
+
 # Runs the CLI as `python -m totient_lab.cli` does, with the enumeration
 # route made to disagree with the other counting routes.
 _BROKEN_ENUMERATION = """
@@ -126,6 +136,35 @@ class TestImportsOnlyWhatRuns:
         out, farey_loaded = run_probed("series", "100", module="totient_lab.farey")
         assert out.startswith("2 1 1/2\n3 2 2/3\n")
         assert farey_loaded
+
+    @pytest.mark.parametrize("module", ["json", "string", "fractions"])
+    def test_plain_count_loads_no_json_string_or_fractions(self, module):
+        out, loaded = run_probed("count", "20", "--method", "exclusion", module=module)
+        assert out.startswith("max_denominator: 20\n")
+        assert not loaded
+
+    @pytest.mark.parametrize("args,head", [
+        (["farey", "10", "--format", "csv"], "numerator,denominator\n1,10\n"),
+        (["series", "64", "--grouped"], "radical 2: coefficient 1/2, members 2 4 8 16 32 64\n"),
+    ])
+    @pytest.mark.parametrize("module", ["json", "fractions"])
+    def test_streamed_rows_load_no_json_or_fractions(self, args, head, module):
+        out, loaded = run_probed(*args, module=module)
+        assert out.startswith(head)
+        assert not loaded
+
+    def test_probe_sees_json_when_a_record_is_json(self):
+        out, json_loaded = run_probed("count", "20", "--format", "json", module="json")
+        assert json.loads(out)["count_by_exclusion"] == 127
+        assert json_loaded
+
+
+class TestCollectorOff:
+    def test_run_leaves_the_collector_off(self):
+        child = subprocess.run([sys.executable, "-c", _COLLECTOR_PROBE, "count", "20"], env=ENV,
+                               capture_output=True, text=True, timeout=60)
+        assert child.returncode == 0, child.stderr
+        assert child.stderr.splitlines()[-1] == "False"
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts threads in /proc")
