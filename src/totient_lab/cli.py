@@ -40,7 +40,8 @@ if TYPE_CHECKING:
 
 _DECIMAL_RE = re.compile(r"[0-9]+")
 
-#: Bytes of the byte matrix that _render lays out at a time, about.
+#: Bytes of text that _render lays out at a time, about; its byte matrix,
+#: four bytes per group of four digits, is at most four times as large.
 RENDER_BYTES = 1 << 19
 
 
@@ -119,8 +120,22 @@ def _pieces(template: str) -> list[bytes | int]:
     return pieces
 
 
+@functools.cache
+def _digit_words() -> tuple[np.ndarray, np.ndarray]:
+    """Words of four digit bytes: word q is q with NULs for its leading zeros,
+    word 10**4 + q is q padded with zeros.  The first table, for a value's
+    lowest group, writes 0 as "0"; the second, for higher groups, as NULs."""
+    import numpy as np
+
+    n, powers = np.arange(2 * 10**4)[:, None], 10 ** np.arange(3, -1, -1)
+    high = np.where(n >= powers, n // powers % 10 + ord("0"), 0).astype(np.uint8)
+    low = high.copy()
+    low[0, -1] = ord("0")
+    return low.view(np.uint32).ravel(), high.view(np.uint32).ravel()
+
+
 def _render(row: str, sep: str, columns: tuple[np.ndarray, ...],
-            joiner: str | None = None) -> Iterator[bytes]:
+            joiner: str | None = None) -> Iterator[bytearray]:
     """sep.join(starmap(row.format, zip(*columns))) as bytes, in pieces,
     for a row template whose fields are bare {} or {i} and columns of
     non-negative integers, one row per index.
@@ -129,72 +144,84 @@ def _render(row: str, sep: str, columns: tuple[np.ndarray, ...],
     group g holding members[edges[g]:edges[g + 1]], and each column before
     them holds one value per group.  Row's fields are those values and,
     after them, the group's members joined by the joiner, a template of the
-    values too.
+    values too.  None of row, sep and joiner may hold a NUL byte.
 
-    Each piece is a byte matrix of RENDER_BYTES // width lines, one row and
-    its separator per line, or with a joiner one member per line: the
-    literal text, and each field's digits, got by integer division in the
-    narrowest unsigned dtype that holds the column's maximum, padded with
-    leading zeros to that maximum's width.  A mask drops the leading zeros
-    and the last separator.  With a joiner it also keeps the text before
-    the members' field on a group's first member only, the joiner on every
-    member but the last, and the text after the field and the separator on
-    the last; a member reads its group's values through its group index.
+    Each piece is a byte matrix of RENDER_BYTES // width lines, width being
+    a line's text at the columns' maxima: one row and its separator per
+    line, or with a joiner one member per line.  A field takes four bytes
+    per group of four digits of its column's maximum, each group one word
+    of _digit_words.  NULs are written over the last separator and, with a
+    joiner, over the text before the members' field on all but a group's
+    first member, the joiner on its last, and the text after the field and
+    the separator on all but its last; then bytearray.translate deletes
+    every NUL.  A group's values are made words once per call, and its
+    members gather them through their group index.
     """
     import numpy as np
 
+    if "\0" in row + sep + (joiner or ""):
+        raise ValueError("a row template, separator or joiner holding a NUL byte cannot be rendered")
     pieces, separator = _pieces(row), [sep.encode()]
     if joiner is None:
         parts = [pieces + separator]
     else:
         *per_group, edges, members = columns
-        columns = (*per_group, members)
-        at = pieces.index(len(per_group))  # the members' field
+        columns, field = (*per_group, members), len(per_group)  # the members' column
+        at = pieces.index(field)
         parts = [pieces[:at], pieces[at:at + 1], _pieces(joiner), pieces[at + 1:] + separator]
     pieces = [p for part in parts for p in part]
-    tops = {p: int(columns[p].max()) for p in pieces if isinstance(p, int)}
-    widths = {p: len(str(top)) for p, top in tops.items()}
-    # the literal text, with a zero byte in place of every digit
-    template = b"".join(bytes(widths[p]) if isinstance(p, int) else p for p in pieces)
+    digits = {p: len(str(int(columns[p].max()))) for p in pieces if isinstance(p, int)}
+    groups = {p: -(-n // 4) for p, n in digits.items()}
+    # the literal text, with four NUL bytes in place of every group of digits
+    template = b"".join(bytes(4 * groups[p]) if isinstance(p, int) else p for p in pieces)
+    width = sum(len(p) if isinstance(p, bytes) else digits[p] for p in pieces)
     rows = len(columns[-1])
+    low, high = _digit_words()
 
-    def lay_out(a: int, b: int) -> bytes:
+    def words(values: np.ndarray, p: int) -> Iterator[np.ndarray]:
+        """Field p's words, a group at a time from the right: a group below a
+        nonzero one reads the padded word q + 10**4, as min(rest, q + 10**4)."""
+        rest = values
+        for k in range(groups[p] - 1):
+            above, q = np.divmod(rest, 10**4)
+            q += 10**4
+            yield (high if k else low)[np.minimum(rest, q, out=q)]
+            rest = above
+        yield (high if groups[p] > 1 else low)[rest]
+
+    # the words of each per-group field's values, which members gather
+    group_words = {} if joiner is None else {p: list(words(columns[p], p)) for p in groups if p < field}
+
+    def lay_out(a: int, b: int) -> bytearray:
         """Lines a..b - 1, their arrays freed before the bytes are passed on."""
+        buffer = bytearray(template) * (b - a)
+        matrix = np.frombuffer(buffer, dtype=np.uint8).reshape(b - a, len(template))
         if joiner is None:
-            masks = [None]  # the rows that keep each part, None for all
-            lines = tuple(c[a:b] for c in columns)
+            drops = [None]  # the lines that drop each part, None for none
         else:
             member = np.arange(a, b)
             group = np.searchsorted(edges, member, side="right") - 1
             first, last = edges[group] == member, edges[group + 1] == member + 1
-            masks = [first, None, ~last, last]
-            lines = (*(c[group] for c in per_group), members[a:b])
-        matrix = np.empty((b - a, len(template)), dtype=np.uint8)
-        matrix[:] = np.frombuffer(template, dtype=np.uint8)
-        keep = np.ones(matrix.shape, dtype=bool)
+            drops = [~first, None, last, ~last]
         end = 0  # of the piece in hand, in the matrix's columns
-        for part, mask in zip(parts, masks):
+        for part, drop in zip(parts, drops):
             start = end
             for p in part:
                 if isinstance(p, bytes):
                     end += len(p)
                     continue
-                end += widths[p]
-                values = lines[p].astype(np.min_scalar_type(tops[p]))
-                rest = values
-                for k in range(1, widths[p] + 1):  # k-th digit from the right
-                    rest, digit = np.divmod(rest, 10)
-                    digit += ord("0")
-                    matrix[:, end - k] = digit
-                    if k < widths[p]:  # the digit left of it is a leading zero below 10**k
-                        keep[:, end - k - 1] = values >= 10**k
-            if mask is not None:
-                keep[:, start:end] &= mask[:, None]
+                end += 4 * groups[p]
+                made = ((w[group] for w in group_words[p]) if p in group_words
+                        else words(columns[p][a:b], p))
+                for k, word in enumerate(made, 1):  # the k-th group from the right
+                    np.ndarray((b - a,), np.uint32, buffer, end - 4 * k, (len(template),))[:] = word
+            if drop is not None:
+                matrix[drop, start:end] = 0
         if b == rows:
-            keep[-1, len(template) - len(sep):] = False
-        return matrix[keep].tobytes()
+            matrix[-1, len(template) - len(sep):] = 0
+        return buffer.translate(None, b"\0")
 
-    step = max(1, RENDER_BYTES // len(template))
+    step = max(1, RENDER_BYTES // width)
     for a in range(0, rows, step):
         yield lay_out(a, min(a + step, rows))
 

@@ -285,11 +285,13 @@ def _farey_blocks(D: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         key -= i * den
         key *= K
         key //= den
-        first = np.full(K, len(key), dtype=np.int32)  # len(key) marks an empty slot
-        np.minimum.at(first, key, np.arange(len(key), dtype=np.int32))
-        first = first[first < len(key)]
+        first = np.full(K, len(num), dtype=np.int32)  # len(num) marks an empty slot
+        np.minimum.at(first, key, np.arange(len(num), dtype=np.int32))
+        del key  # freed before the filled slots' indices are made
+        # flatnonzero and a take: a boolean index over the sparse slots is 3-4 times slower
+        first = first[np.flatnonzero(first < len(num))]
         num, den = num[first], den[first]
-        del key, first  # not held while the block is consumed
+        del first  # not held while the block is consumed
         yield num, den
 
 

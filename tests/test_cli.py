@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import totient_lab.cli as cli
 import totient_lab.farey as farey
@@ -92,7 +94,8 @@ RENDERED_LAYOUTS = {
                          ("series", cli._SERIES_LAYOUTS)]
     for fmt in ("plain", "csv", "json")
 }
-EDGE_VALUES = [0, 9, 10, 99, 2**32 - 1, 2**32, 10**8]
+EDGE_VALUES = [0, 9, 10, 99, 9999, 10**4, 10**4 + 1, 2**32 - 1, 2**32, 10**8, 99_999_999,
+               10**12, 2**63 - 1]
 
 
 def render(*args) -> bytes:
@@ -240,6 +243,58 @@ class TestGroupedRender:
         expected = layout[0] + grouped_rows(layout, radical_dict_groups(65538)) + layout[3]
         got = run_ok(runner, ["series", "65538", "--grouped", "--format", fmt])
         assert_same_text(got, expected)
+
+
+def digit_values(dtype) -> st.SearchStrategy[int]:
+    """Values of dtype, non-negative, of 1 to 20 digits, or an edge value
+    or the dtype's maximum."""
+    top = int(np.iinfo(dtype).max)
+    return st.one_of(st.sampled_from([*EDGE_VALUES, top]),
+                     st.builds(lambda digits, x: x % 10**digits, st.integers(1, 20), st.integers(0, top)))
+
+
+class TestRenderProperties:
+    @pytest.mark.parametrize("layout", RENDERED_LAYOUTS.values(), ids=RENDERED_LAYOUTS.keys())
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), dtype=st.sampled_from([np.int64, np.uint64]),
+           render_bytes=st.integers(1, 600))
+    def test_random_columns_match_str_format(self, layout, data, dtype, render_bytes):
+        row, sep = layout
+        rows = data.draw(st.integers(1, 30), label="rows")
+        columns = tuple(np.array(data.draw(st.lists(digit_values(dtype), min_size=rows, max_size=rows)),
+                                 dtype=dtype) for _ in range(4))
+        expected = sep.join(starmap(row.format, zip(*(c.tolist() for c in columns))))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "RENDER_BYTES", render_bytes)
+            assert render(row, sep, columns) == expected.encode()
+
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), dtype=st.sampled_from([np.int64, np.uint64]),
+           sizes=st.lists(st.integers(1, 6), min_size=1, max_size=12), render_bytes=st.integers(1, 600))
+    def test_random_groups_match_str_format(self, fmt, data, dtype, sizes, render_bytes):
+        layout = cli._GROUPED_LAYOUTS[fmt]
+        edges = np.concatenate(([0], np.cumsum(sizes)))
+        columns = tuple(np.array(data.draw(st.lists(digit_values(dtype), min_size=n, max_size=n)),
+                                 dtype=dtype) for n in [len(sizes)] * 3 + [int(edges[-1])])
+        *per_group, members = columns
+        groups = [(*(int(c[g]) for c in per_group), members[edges[g]:edges[g + 1]].tolist())
+                  for g in range(len(sizes))]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "RENDER_BYTES", render_bytes)
+            got = render(layout[1], layout[2], (*per_group, edges, members), layout[4])
+        assert got == grouped_rows(layout, groups).encode()
+
+    @pytest.mark.parametrize("text", [
+        ("{}\0{}", "\n"), ("{},{}", "\0"), ("{} {}", "\n", "\0"), ("{}: \0{}", "\n", " "),
+    ])
+    def test_nul_byte_in_the_text_refused(self, text):
+        # a NUL byte marks the bytes that a pass deletes, so text holding one
+        # cannot be rendered: two rows, or two groups of one and two members
+        row, sep, *joiner = text
+        columns = (np.arange(2), np.array([0, 1, 3]), np.arange(3)) if joiner else (np.arange(2),) * 2
+        with pytest.raises(ValueError, match="NUL byte"):
+            render(row, sep, columns, *joiner)
 
 
 class TestNumericParsing:
