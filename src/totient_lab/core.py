@@ -2,9 +2,12 @@
 totient computed both by the closed-form prime product and by definitional
 brute force.
 
-Every function here is pure and works on plain Python ints.  Inputs above
-``INT_CEILING`` (the unsigned 64-bit range) raise OverflowError so callers
-never depend on silently unbounded arithmetic.
+Every function here is pure and works on plain Python ints.  _check_range
+is the package's one refusal of an integer argument outside an entry
+point's range: a ValueError below the range; an OverflowError above
+``INT_CEILING`` (the unsigned 64-bit range), whatever the entry point's own
+bound, so callers never depend on silently unbounded arithmetic; and up to
+the ceiling, a ValueError that names the bound it exceeds.
 """
 
 from __future__ import annotations
@@ -38,11 +41,16 @@ class Convention(Enum):
         return 1 if self is Convention.MODERN else 0
 
 
-def _check_positive(n: int, name: str = "n") -> None:
-    if n < 1:
-        raise ValueError(f"{name} must be a positive integer, got {n}")
-    if n > INT_CEILING:
-        raise OverflowError(f"{name}={n} exceeds the 64-bit ceiling {INT_CEILING}")
+def _check_range(value: int, name: str, low: int, high: int = INT_CEILING,
+                 bound: str = "", why: str = "") -> None:
+    """Refuse the argument name = value unless low <= value <= high, bound
+    being high's description in the message and why a reason after it."""
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    if value > INT_CEILING:
+        raise OverflowError(f"{name}={value} exceeds the 64-bit ceiling {INT_CEILING}")
+    if value > high:
+        raise ValueError(f"{name}={value} exceeds the {bound} {high}{why}")
 
 
 def gcd(a: int, b: int) -> int:
@@ -99,7 +107,7 @@ class Factorization:
     factors: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        _check_positive(self.n)
+        _check_range(self.n, "n", 1)
         product = 1
         previous = 0
         for prime, exponent in self.factors:
@@ -128,7 +136,7 @@ class Factorization:
 
 def factorize(n: int) -> Factorization:
     """Factor n by trial division: strip 2, then odd candidates up to sqrt."""
-    _check_positive(n)
+    _check_range(n, "n", 1)
     return Factorization(n, tuple(_prime_powers(n)))
 
 
@@ -152,7 +160,7 @@ def totient(n: int, convention: Convention = Convention.MODERN) -> int:
     multiplying keeps every intermediate at most n (p always divides the
     running value exactly).
     """
-    _check_positive(n)
+    _check_range(n, "n", 1)
     if n == 1:
         return convention.value_at_one
     result = n
@@ -168,12 +176,8 @@ def totient_bruteforce(n: int) -> int:
     value at n = 1 is 0 (no k exists).  Refuses n above BRUTEFORCE_BOUND
     instead of being silently slow.
     """
-    _check_positive(n)
-    if n > BRUTEFORCE_BOUND:
-        raise ValueError(
-            f"totient_bruteforce is O(n log n) per call; "
-            f"n={n} exceeds the bound {BRUTEFORCE_BOUND}"
-        )
+    _check_range(n, "n", 1, BRUTEFORCE_BOUND, "brute-force bound",
+                 "; totient_bruteforce is O(n log n) per call")
     g = math.gcd
     return sum(1 for k in range(1, n) if g(k, n) == 1)
 
@@ -184,15 +188,8 @@ def coprime_numerators(d: int) -> list[int]:
     Returned ascending; the length equals totient(d) under the EULER
     convention.
     """
-    if d < 2:
-        raise ValueError(f"denominator must be >= 2, got {d}")
-    if d > INT_CEILING:
-        raise OverflowError(f"d={d} exceeds the 64-bit ceiling {INT_CEILING}")
-    if d > BRUTEFORCE_BOUND:
-        raise ValueError(
-            f"coprime_numerators materializes O(d) values; "
-            f"d={d} exceeds the bound {BRUTEFORCE_BOUND}"
-        )
+    _check_range(d, "d", 2, BRUTEFORCE_BOUND, "brute-force bound",
+                 "; coprime_numerators materializes O(d) values")
     g = math.gcd
     return [k for k in range(1, d) if g(k, d) == 1]
 
@@ -209,7 +206,7 @@ def numbers_with_prime_support(primes: Iterable[int], limit: int) -> list[int]:
     for p in support:
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
-    _check_positive(limit, "limit")
+    _check_range(limit, "limit", 1)
 
     found: list[int] = []
 

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from .core import Convention
+from .core import Convention, _check_range
 from .sieve import SIEVE_LIMIT, _totient_blocks
 
 if TYPE_CHECKING:
@@ -49,17 +49,6 @@ FAREY_MATERIALIZE_BOUND = 10**4
 #: interior terms, so D^2 // (3 * _BLOCK) windows hold about 0.9 * _BLOCK
 #: each.
 _BLOCK = 1 << 16
-
-
-def _check_denominator(max_denominator: int) -> None:
-    if max_denominator < 2:
-        raise ValueError(
-            f"max denominator must be >= 2, got {max_denominator}"
-        )
-    if max_denominator > SIEVE_LIMIT:
-        raise ValueError(
-            f"max denominator {max_denominator} exceeds the table limit {SIEVE_LIMIT}"
-        )
 
 
 @dataclass(frozen=True)
@@ -146,7 +135,7 @@ def _totient_sum(D: int) -> int:
 def count_by_totient_sum(max_denominator: int) -> int:
     """Reduced fractions in (0, 1) with denominator <= D, as the sum of
     totient(k) for k = 2..D: _totient_sum less the k = 1 term."""
-    _check_denominator(max_denominator)
+    _check_range(max_denominator, "max_denominator", 2, SIEVE_LIMIT, "table limit")
     return _totient_sum(max_denominator) - 1
 
 
@@ -172,7 +161,7 @@ def count_by_exclusion(max_denominator: int) -> FareyCountReport:
     count_by_enumeration is the independent oracle.
     """
     D = max_denominator
-    _check_denominator(D)
+    _check_range(D, "max_denominator", 2, SIEVE_LIMIT, "table limit")
     total_unreduced = D * (D - 1) // 2
     r = math.isqrt(D)
     starts = np.concatenate((np.arange(1, r + 1, dtype=np.int64),
@@ -197,7 +186,6 @@ def count_by_exclusion(max_denominator: int) -> FareyCountReport:
 def count_reducible(max_denominator: int) -> int:
     """Unreduced-form pairs a/b (1 <= a < b <= D) that are NOT in lowest terms."""
     D = max_denominator
-    _check_denominator(D)
     return D * (D - 1) // 2 - count_by_totient_sum(D)
 
 
@@ -205,11 +193,8 @@ def count_by_enumeration(max_denominator: int) -> int:
     """Count coprime pairs (a, b) with a < b <= D by the definitional
     double loop.  The independent oracle for the other two routes."""
     D = max_denominator
-    _check_denominator(D)
-    if D > ENUMERATION_BOUND:
-        raise ValueError(
-            f"enumeration is O(D^2 log D); D={D} exceeds the bound {ENUMERATION_BOUND}"
-        )
+    _check_range(D, "max_denominator", 2, ENUMERATION_BOUND, "enumeration bound",
+                 "; count_by_enumeration is O(D^2 log D)")
     g = math.gcd
     return sum(1 for b in range(2, D + 1) for a in range(1, b) if g(a, b) == 1)
 
@@ -224,7 +209,7 @@ def iter_farey_pairs(max_denominator: int) -> Iterator[tuple[int, int]]:
     endpoints 0/1 and 1/1 are never yielded.  D is checked at the call,
     before the first term is asked for.
     """
-    _check_denominator(max_denominator)
+    _check_range(max_denominator, "max_denominator", 2, SIEVE_LIMIT, "table limit")
     return _neighbor_walk(max_denominator)
 
 
@@ -267,10 +252,8 @@ def _farey_blocks(D: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     besides its terms.  D is checked, against 2 and the bound, when the
     first block is asked for.
     """
-    _check_denominator(D)
-    if D > FAREY_MATERIALIZE_BOUND:
-        raise ValueError(f"D={D} exceeds the sequence bound {FAREY_MATERIALIZE_BOUND}; "
-                         "iter_farey_pairs and iter_farey_sequence stream beyond it")
+    _check_range(D, "max_denominator", 2, FAREY_MATERIALIZE_BOUND, "sequence bound",
+                 "; iter_farey_pairs and iter_farey_sequence stream beyond it")
     M = _farey_windows(D)
     K = -(-D * D // M)
     b = np.arange(1, D + 1, dtype=np.int64)

@@ -20,8 +20,8 @@ from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from .core import Convention, factorize, totient
-from .sieve import _check_table_size, _totient_blocks, primes_up_to, totient_sieve
+from .core import Convention, _check_range, factorize, totient
+from .sieve import SIEVE_LIMIT, _totient_blocks, primes_up_to, totient_sieve
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -46,8 +46,7 @@ def phi_over_n(n: int) -> Fraction:
     """
     from fractions import Fraction
 
-    if n < 2:
-        raise ValueError(f"phi_over_n needs n >= 2, got {n}")
+    _check_range(n, "n", 2)
     return Fraction(totient(n, Convention.EULER), n)
 
 
@@ -62,19 +61,10 @@ def radical(n: int) -> int:
     return result
 
 
-def _check_materialize(max_n: int) -> None:
-    if max_n > SERIES_MATERIALIZE_BOUND:
-        raise ValueError(
-            f"a list for max_n={max_n} exceeds the bound {SERIES_MATERIALIZE_BOUND}; "
-            f"the CLI's series streams beyond it"
-        )
-
-
 def series_coefficients(max_n: int) -> list[int]:
     """Totient values (EULER convention) for n = 1..max_n; entry 1 is 0."""
-    _check_materialize(max_n)
-    if max_n < 2:
-        raise ValueError(f"series needs max_n >= 2, got {max_n}")
+    _check_range(max_n, "max_n", 2, SERIES_MATERIALIZE_BOUND, "bound",
+                 "; the CLI's series streams beyond it")
     return totient_sieve(max_n, Convention.EULER).values.tolist()
 
 
@@ -89,8 +79,7 @@ def _coefficient_blocks(max_n: int) -> Iterator[tuple[np.ndarray, ...]]:
     _CHUNK rows at a time, num/den being totient(n)/n in lowest terms.  The
     totients are read from the sieve's blocks as they come, so no table is
     held; max_n is checked when the first block is asked for."""
-    if max_n < 2:
-        raise ValueError(f"series needs max_n >= 2, got {max_n}")
+    _check_range(max_n, "max_n", 2, SIEVE_LIMIT, "table limit")
     for lo, phi in _totient_blocks(max_n, Convention.EULER):
         for start in range(max(lo, 2), lo + len(phi), _CHUNK):
             block = phi[start - lo:start - lo + _CHUNK]
@@ -102,7 +91,8 @@ def integrated_series_coefficients(max_n: int) -> list[Fraction]:
     """The reduced coefficients totient(n)/n for n = 2..max_n, in order."""
     from fractions import Fraction
 
-    _check_materialize(max_n)
+    _check_range(max_n, "max_n", 2, SERIES_MATERIALIZE_BOUND, "bound",
+                 "; the CLI's series streams beyond it")
     return [
         Fraction(num, den)
         for _, _, nums, dens in _coefficient_blocks(max_n)
@@ -164,9 +154,7 @@ def _coefficient_groups(max_n: int) -> Iterator[tuple[np.ndarray, ...]]:
     totient(r) is read from the block, so nothing of size max_n is held.
     max_n is checked when the first chunk is asked for.
     """
-    if max_n < 2:
-        raise ValueError(f"grouping needs max_n >= 2, got {max_n}")
-    _check_table_size(max_n)
+    _check_range(max_n, "max_n", 2, SIEVE_LIMIT, "table limit")
     primes = primes_up_to(isqrt(max_n))
     squares = primes * primes
     ks, rads = _cofactors(primes, max_n)
@@ -201,7 +189,8 @@ def group_by_coefficient(max_n: int) -> list[CoefficientGroup]:
     radical, ascending."""
     from fractions import Fraction
 
-    _check_materialize(max_n)
+    _check_range(max_n, "max_n", 2, SERIES_MATERIALIZE_BOUND, "bound",
+                 "; the CLI's series streams beyond it")
     groups = []
     for radicals, nums, dens, edges, members in _coefficient_groups(max_n):
         members, edges = members.tolist(), edges.tolist()

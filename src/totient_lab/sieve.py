@@ -23,7 +23,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .core import Convention, totient, totient_bruteforce
+from .core import Convention, _check_range, totient, totient_bruteforce
 
 #: Practical table-size limit; larger requests are refused.  A whole table
 #: (totient_sieve) costs 8 bytes per entry, roughly 800 MB at the limit.
@@ -70,8 +70,7 @@ class TotientTable:
     values: np.ndarray
 
     def phi(self, n: int) -> int:
-        if not 1 <= n <= self.max_n:
-            raise ValueError(f"n={n} outside table range 1..{self.max_n}")
+        _check_range(n, "n", 1, self.max_n, "table's max_n")
         return int(self.values[n - 1])
 
     def checksum(self) -> int:
@@ -88,13 +87,6 @@ def _prime_count_bound(x: int) -> int:
     """An upper bound on the number of primes <= x: 1.25506 x / ln x for
     x > 1 (Rosser & Schoenfeld, Illinois J. Math. 1962, Corollary 1)."""
     return int(1.25506 * x / log(x)) + 1 if x > 1 else 0
-
-
-def _check_table_size(max_n: int) -> None:
-    if max_n < 1:
-        raise ValueError(f"max_n must be a positive integer, got {max_n}")
-    if max_n > SIEVE_LIMIT:
-        raise ValueError(f"max_n={max_n} exceeds the table limit {SIEVE_LIMIT}")
 
 
 def _totient_blocks(
@@ -123,7 +115,7 @@ def _totient_blocks(
     primes, about 4 bytes per prime <= max_n // 2.  max_n is checked when
     the first block is asked for.
     """
-    _check_table_size(max_n)
+    _check_range(max_n, "max_n", 1, SIEVE_LIMIT, "table limit")
     root = isqrt(max_n)
     odd = primes_up_to(root)[1:].tolist()
     multipliers = [np.uint64(pow(p, -1, 2**64) * (p - 1) & _UINT64_MASK) for p in odd]
@@ -172,7 +164,7 @@ def totient_sieve(
     """Totient table for 1..max_n, filled from the blocks of
     _totient_blocks.  Total work is O(max_n log log max_n).
     """
-    _check_table_size(max_n)
+    _check_range(max_n, "max_n", 1, SIEVE_LIMIT, "table limit")
     # MemoryError from the allocation is the resource-failure signal.
     phi = np.empty(max_n, dtype=np.uint64)
     for lo, block in _totient_blocks(max_n, convention):
@@ -198,8 +190,7 @@ def cumulative_counts(checkpoints: Sequence[int]) -> list[CumulativeCountRow]:
     checkpoints = list(checkpoints)
     if not checkpoints:
         raise ValueError("checkpoints must be nonempty")
-    if checkpoints[0] < 1:
-        raise ValueError(f"checkpoints must be positive, got {checkpoints[0]}")
+    _check_range(checkpoints[0], "checkpoints", 1)
     if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
         raise ValueError("checkpoints must be strictly ascending")
     rows, pending = [], iter(checkpoints)
@@ -266,11 +257,8 @@ def bench_totient_methods(max_n: int) -> BenchReport:
     executed method must agree; the report exposes that check but does not
     raise, so callers decide how to surface a mismatch.
     """
-    if max_n < 1:
-        raise ValueError(f"max_n must be a positive integer, got {max_n}")
-    largest = max(bound for _, bound, _, _ in _BENCH_METHODS)
-    if max_n > largest:
-        raise ValueError(f"max_n={max_n} exceeds every method's bound, the largest {largest}")
+    _check_range(max_n, "max_n", 1, max(bound for _, bound, _, _ in _BENCH_METHODS),
+                 "largest method bound", "; above every method's bound, no method would run")
     results: list[MethodResult] = []
     for method, bound, bound_name, route in _BENCH_METHODS:
         if max_n > bound:

@@ -16,6 +16,9 @@ import totient_lab.series as series
 import totient_lab.sieve as sieve
 from totient_lab import (
     ENUMERATION_BOUND,
+    FAREY_MATERIALIZE_BOUND,
+    INT_CEILING,
+    SIEVE_LIMIT,
     BenchReport,
     Convention,
     MethodResult,
@@ -37,6 +40,7 @@ from reference_values import CUMULATIVE_PRINTED, TOTIENT_1_TO_100
 
 GOLDEN = Path(__file__).parent / "golden"
 EULER = Convention.EULER
+FORMATS = ["plain", "csv", "json"]
 
 
 @pytest.fixture()
@@ -48,6 +52,27 @@ def run_ok(runner, args):
     result = runner.invoke(cli.main, args)
     assert result.exit_code == 0, result.output + result.stderr
     return result.stdout
+
+
+def refusals(name: str, low: int, high: int, bound: str, why: str = "") -> list:
+    """(value, message) for the values just outside low..high and, where
+    high is below it, for the first past the 64-bit ceiling: the messages
+    the library's one range check gives, which the CLI writes on stderr."""
+    cases = [pytest.param(low - 1, f"{name} must be >= {low}, got {low - 1}", id=str(low - 1)),
+             pytest.param(high + 1, f"{name}={high + 1} exceeds the {bound} {high}{why}",
+                          id=str(high + 1))]
+    if high < INT_CEILING:
+        cases.append(pytest.param(2**64, f"{name}={2**64} exceeds the 64-bit ceiling {INT_CEILING}",
+                                  id="2**64"))
+    return cases
+
+
+def assert_refused(runner, args, message):
+    """args exit 2 with nothing on stdout and message on stderr."""
+    result = runner.invoke(cli.main, args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert message in result.stderr
 
 
 def assert_same_text(got: str, expected: str) -> None:
@@ -327,10 +352,10 @@ class TestTotientCommand:
         assert "distinct primes: 2, 3, 5, 7" in out
         assert "2 * 3^3 * 5^2 * 7" in out
 
-    def test_domain_error_exit_2(self, runner):
-        result = runner.invoke(cli.main, ["totient", "0"])
-        assert result.exit_code == 2
-        assert "positive" in result.stderr
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("n,message", refusals("n", 1, INT_CEILING, "64-bit ceiling"))
+    def test_domain_error_exit_2(self, runner, n, message, fmt):
+        assert_refused(runner, ["totient", str(n), "--format", fmt], message)
 
     def test_csv_roundtrip(self, runner):
         out = run_ok(runner, ["totient", "9450", "--format", "csv"])
@@ -389,11 +414,10 @@ class TestTableCommand:
         }[fmt]
         assert_same_text(run_ok(runner, ["table", str(n_max), "--format", fmt]), expected)
 
-    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
-    def test_bad_max_n_refused_before_output(self, runner, fmt):
-        result = runner.invoke(cli.main, ["table", "0", "--format", fmt])
-        assert result.exit_code == 2
-        assert result.stdout == ""
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("max_n,message", refusals("max_n", 1, SIEVE_LIMIT, "table limit"))
+    def test_bad_max_n_refused_before_output(self, runner, max_n, message, fmt):
+        assert_refused(runner, ["table", str(max_n), "--format", fmt], message)
 
     @pytest.mark.parametrize("convention,message", [
         ("modern", "written phi sum=47 != Phi(N)=46 at N=12"),
@@ -430,10 +454,18 @@ class TestCountCommand:
         out = run_ok(runner, ["count", "2", "--method", "exclusion"])
         assert "count_by_exclusion: 1" in out
 
-    def test_enumerate_bound_refused(self, runner):
-        result = runner.invoke(cli.main, ["count", "10001", "--method", "enumerate"])
-        assert result.exit_code == 2
-        assert "bound" in result.stderr
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("d,message", refusals(
+        "max_denominator", 2, ENUMERATION_BOUND, "enumeration bound",
+        "; count_by_enumeration is O(D^2 log D)"))
+    def test_enumerate_bound_refused(self, runner, d, message, fmt):
+        assert_refused(runner, ["count", str(d), "--method", "enumerate", "--format", fmt], message)
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("d,message", refusals("max_denominator", 2, SIEVE_LIMIT, "table limit"))
+    @pytest.mark.parametrize("method", ["sum", "exclusion", "all"])
+    def test_refused_before_output(self, runner, method, d, message, fmt):
+        assert_refused(runner, ["count", str(d), "--method", method, "--format", fmt], message)
 
     def test_json_roundtrip(self, runner):
         out = run_ok(runner, ["count", "30", "--method", "all", "--format", "json"])
@@ -493,14 +525,14 @@ class TestFareyCommand:
             (f.numerator, f.denominator) for f in farey_sequence(6)
         ]
 
-    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
-    def test_bound_refused(self, runner, fmt):
-        # _farey_blocks refuses it when the first block is asked for, so
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("d,message", refusals(
+        "max_denominator", 2, FAREY_MATERIALIZE_BOUND, "sequence bound",
+        "; iter_farey_pairs and iter_farey_sequence stream beyond it"))
+    def test_bound_refused(self, runner, d, message, fmt):
+        # _farey_blocks refuses 10001 when the first block is asked for, so
         # before the head is written
-        result = runner.invoke(cli.main, ["farey", "10001", "--format", fmt])
-        assert result.exit_code == 2
-        assert result.stdout == ""
-        assert "sequence bound" in result.stderr
+        assert_refused(runner, ["farey", str(d), "--format", fmt], message)
 
     @pytest.mark.parametrize("args", [
         ["farey", "0"],
@@ -623,17 +655,14 @@ class TestSeriesCommand:
     def test_domain_error(self, runner):
         assert runner.invoke(cli.main, ["series", "1"]).exit_code == 2
 
-    @pytest.mark.parametrize("args", [
-        ["series", "0"],
-        ["series", "1", "--format", "csv"],
-        ["series", "1", "--format", "json"],
-        ["series", "1", "--grouped", "--format", "json"],
-        ["series", "100000001", "--grouped", "--format", "csv"],
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("max_n,message", [
+        pytest.param(0, "max_n must be >= 2, got 0", id="0"),
+        *refusals("max_n", 2, SIEVE_LIMIT, "table limit"),
     ])
-    def test_bad_max_n_refused_before_output(self, runner, args):
-        result = runner.invoke(cli.main, args)
-        assert result.exit_code == 2
-        assert result.stdout == ""
+    @pytest.mark.parametrize("grouped", [[], ["--grouped"]], ids=["rows", "grouped"])
+    def test_bad_max_n_refused_before_output(self, runner, grouped, max_n, message, fmt):
+        assert_refused(runner, ["series", str(max_n), *grouped, "--format", fmt], message)
 
     @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
     def test_corrupted_block_fails_the_end_of_stream_sum(self, runner, monkeypatch, fmt):
@@ -861,12 +890,12 @@ class TestBenchCommand:
         out = run_ok(runner, ["bench", "20000"])
         assert "bruteforce-oracle: skipped" in out
 
-    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
-    def test_above_every_bound_refused_before_output(self, runner, fmt):
-        result = runner.invoke(cli.main, ["bench", "100000001", "--format", fmt])
-        assert result.exit_code == 2
-        assert result.stdout == ""
-        assert "every method's bound" in result.stderr
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("max_n,message", refusals(
+        "max_n", 1, SIEVE_LIMIT, "largest method bound",
+        "; above every method's bound, no method would run"))
+    def test_refused_before_output(self, runner, max_n, message, fmt):
+        assert_refused(runner, ["bench", str(max_n), "--format", fmt], message)
 
     def test_checksum_mismatch_exits_3(self, runner, monkeypatch):
         fake = BenchReport(

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 import totient_lab.farey as farey
 from totient_lab import (
-    ENUMERATION_BOUND,
     FAREY_MATERIALIZE_BOUND,
     SIEVE_LIMIT,
     Convention,
@@ -170,10 +169,6 @@ class TestCountByExclusion:
         report = count_by_exclusion(2)
         assert (report.total_unreduced, report.excluded, report.count_by_exclusion) == (1, 0, 1)
 
-    def test_small_rejected(self):
-        with pytest.raises(ValueError):
-            count_by_exclusion(1)
-
     def test_sieves_half_of_d(self, monkeypatch):
         # the exclusion sum reads 1..D/2; _totient_sum sieves its own prefix
         sizes = []
@@ -244,23 +239,11 @@ class TestCountReducible:
     def test_examples(self, d, expected):
         assert count_reducible(d) == expected
 
-    def test_small_rejected(self):
-        with pytest.raises(ValueError):
-            count_reducible(1)
-
 
 class TestCountByEnumeration:
     @pytest.mark.parametrize("d,expected", [(10, 31), (100, 3043), (2, 1)])
     def test_examples(self, d, expected):
         assert count_by_enumeration(d) == expected
-
-    def test_refuses_above_bound(self):
-        with pytest.raises(ValueError, match="bound"):
-            count_by_enumeration(ENUMERATION_BOUND + 1)
-
-    def test_small_rejected(self):
-        with pytest.raises(ValueError):
-            count_by_enumeration(1)
 
 
 class TestTripleAgreement:
@@ -309,10 +292,6 @@ class TestFareySequence:
         for a, b in [*iter_farey_pairs(25), *block_pairs(25)]:
             assert 0 < a < b <= 25
             assert gcd(a, b) == 1
-
-    def test_small_rejected(self):
-        with pytest.raises(ValueError):
-            farey_sequence(1)
 
     def test_materialize_bound_refused(self):
         with pytest.raises(ValueError, match="iter_farey_sequence"):

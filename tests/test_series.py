@@ -66,10 +66,6 @@ class TestRadical:
     def test_examples(self, n, expected):
         assert radical(n) == expected
 
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            radical(0)
-
 
 def radical_table(max_n: int) -> np.ndarray:
     """The earlier radical table, kept as an oracle for the grouping:
@@ -244,10 +240,6 @@ class TestSeriesCoefficients:
     def test_entry_100(self):
         assert series_coefficients(100)[99] == 40
 
-    def test_small_rejected(self):
-        with pytest.raises(ValueError):
-            series_coefficients(1)
-
 
 class TestMaterializeBound:
     @pytest.mark.parametrize("route", [series_coefficients, integrated_series_coefficients,
@@ -276,10 +268,6 @@ class TestIntegratedSeries:
     def test_entry_9450(self):
         coefficients = integrated_series_coefficients(9450)
         assert coefficients[9450 - 2] == Fraction(2160, 9450) == Fraction(8, 35)
-
-    def test_small_rejected(self):
-        with pytest.raises(ValueError):
-            integrated_series_coefficients(1)
 
     def test_matches_phi_over_n(self):
         coefficients = integrated_series_coefficients(300)
@@ -333,10 +321,6 @@ class TestGroupByCoefficient:
         groups = {g.radical: g for g in group_by_coefficient(36)}
         assert groups[6].members == (6, 12, 18, 24, 36)
         assert groups[6].coefficient == Fraction(1, 3)
-
-    def test_small_rejected(self):
-        with pytest.raises(ValueError):
-            group_by_coefficient(1)
 
     @pytest.mark.parametrize("max_n", [2, 3, 4, 5, 48, 49, 50, 121])
     def test_matches_grouping_by_factorized_radical(self, max_n):
