@@ -6,9 +6,12 @@ double-loop enumeration.
 The totient sum is not summed over a sieve of all D entries: the paper's
 exclusion identity, applied to its own quotients, gives it from a sieve
 prefix up to about D^(2/3) in O(D^(2/3)) (_totient_sum, 0.03 s at 10**8 on
-a 2-vCPU VM).  The exclusion route sieves 1..D/2, the only k with a
-nonzero term, and weights each run of k with equal floor(D/k) once, with
-one sum of its totients, so the two routes share no pass over the sieve.
+a 2-vCPU VM).  The exclusion route reads the smooth blocks of 1..D/2, the
+only k with a nonzero term, and weights each run of k with equal floor(D/k)
+once, with one sum of its values.  The values of the k with a prime factor
+P above sqrt(D/2) are left unfinished, and the excess is taken back once,
+from the primes counted up to the quotients of D: no scatter, and no list
+of primes held.  So the two routes share no pass over the sieve.
 
 All counting is exact integer arithmetic.  The sequence's terms are
 fractions.Fraction, the type the series module returns too; only the
@@ -29,7 +32,7 @@ from typing import TYPE_CHECKING, Iterator
 import numpy as np
 
 from .core import Convention, _check_range
-from .sieve import SIEVE_LIMIT, _totient_blocks
+from .sieve import SIEVE_LIMIT, _smooth_blocks, _totient_blocks
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -146,18 +149,34 @@ def count_by_exclusion(max_denominator: int) -> FareyCountReport:
     some j/k (j < k coprime) appear with denominators k, 2k, ...,
     floor(D/k) * k; all but the first are reducible, so k contributes
     (floor(D/k) - 1) * totient(k) exclusions.  Terms with floor(D/k) < 2
-    contribute nothing, so the sum stops after k = floor(D/2), and the
-    sieve's blocks are read for k = 1..floor(D/2) only, holding no table.
+    contribute nothing, so the sum stops after k = N = floor(D/2).
 
     The weight floor(D/k) - 1 is constant over each run of k that share
     floor(D/k), fewer than 2 sqrt(D) runs: each k <= r = isqrt(D) is one,
     and the larger k run from D // (q + 1) + 1 for q = D // (r + 1) down
     to 2.  The first of those is r + 1 (D // (q + 1) is r itself, as in
     _totient_sum), so the starts ascend strictly.  Each block sums its
-    totients over the runs it meets with one reduceat, from its own first
+    values over the runs it meets with one reduceat, from its own first
     k, and takes one dot with the runs' weights: no division per entry.
-    The count_by_totient_sum field comes from _totient_sum, another
-    algorithm on another sieve prefix, so the two counts check each other;
+
+    The values are those of the sieve's smooth blocks of 1..N, and no
+    table and no list of primes is held.  A value is totient(n), except at
+    n = j * P with P a prime above R = isqrt(N), where it is totient(j) * P,
+    totient(j) too much (j = 1 included: totient(P) = P - 1).  Such an n is
+    weighted by the number of q >= 2 with j * q * P <= D, and the totients
+    of the proper divisors j of k = j * q sum to the cototient
+    k - totient(k), so the excess is
+
+        sum over k = 2..K of (k - totient(k)) * (pi(D // k) - pi(R)),
+
+    K = D // (R + 1) being the last k with a prime in (R, D // k]; q >= 2
+    keeps j * P <= N.  The points D // k ascend as k falls, so each block
+    counts its primes up to the points inside it with one searchsorted,
+    onto the running count of the blocks before, and pi is never held.
+    Every k <= K <= 2R + 1 is in the first block (sieve._BLOCK), where its
+    value is totient(k) but at the primes in (R, K], which read P.  The
+    count_by_totient_sum field comes from _totient_sum, another algorithm
+    on another sieve prefix, so the two counts check each other;
     count_by_enumeration is the independent oracle.
     """
     D = max_denominator
@@ -166,14 +185,34 @@ def count_by_exclusion(max_denominator: int) -> FareyCountReport:
     r = math.isqrt(D)
     starts = np.concatenate((np.arange(1, r + 1, dtype=np.int64),
                              D // np.arange(D // (r + 1) + 1, 2, -1, dtype=np.int64) + 1))
+    N = D // 2
+    R = math.isqrt(N)
+    K = D // (R + 1)
+    k = np.arange(K, 1, -1, dtype=np.int64)
+    points = D // k  # ascending
     excluded = 0
-    for lo, phi in _totient_blocks(D // 2, Convention.EULER):
-        # the block's runs: from lo, then from each start inside the block;
-        # the k=1 term is 0, as totient(1) is
-        first, last = np.searchsorted(starts, (lo, lo + len(phi) - 1), side="right")
+    done = 0  # the points in the blocks before the one in hand
+    below = 0  # the primes above R in those blocks
+    for lo, values, primes in _smooth_blocks(N):
+        if lo == 1:
+            cototient = k.astype(np.uint64)
+            cototient -= values[k - 1]  # but 0 at the primes in (R, K], not 1
+            cototient[K - primes[:np.searchsorted(primes, K, side="right")]] += 1
+            values[0] = 0  # the k=1 term is 0
+        hi = lo + len(values) - 1
+        # the block's runs: from lo, then from each start inside the block
+        first, last = np.searchsorted(starts, (lo, hi), side="right")
         runs = np.concatenate(([lo], starts[first:last]))
         weights = (D // runs - 1).astype(np.uint64)
-        excluded += int(np.dot(weights, np.add.reduceat(phi, runs - lo)))
+        excluded += int(np.dot(weights, np.add.reduceat(values, runs - lo)))
+        # pi(point) - pi(R) at the block's points
+        upto = int(np.searchsorted(points, hi, side="right"))
+        pi = np.searchsorted(primes, points[done:upto], side="right").astype(np.uint64)
+        pi += below
+        excluded -= int(np.dot(cototient[done:upto], pi))
+        done = upto
+        below += len(primes)
+        del values, primes  # not held while the next block is made
     return FareyCountReport(
         max_denominator=D,
         total_unreduced=total_unreduced,

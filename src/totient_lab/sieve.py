@@ -1,17 +1,18 @@
 """Bulk totient tables, cumulative reduced-fraction counts, and a benchmark
 comparing the three totient routes.
 
-Totients come from one segmented product sieve, _totient_blocks, not
-max_n independent factorizations: in each block of _BLOCK entries, one
-in-place multiply per stride of each prime up to sqrt(max_n), then one
-scatter for the primes above it.  The counts, the benchmark and the CLI's
-`table` and `series` reduce or write the blocks as they come and hold no
-table; totient_sieve copies them into one.  On a 2-vCPU Xeon
-VM, summing the blocks of 10**7 entries took 0.22-0.29 s, and of all 10**8
-2.8-3.1 s with a peak RSS of 45 MiB.  The CLI's `count 100000000` makes no
-such pass: its exclusion sum reads the blocks of 1..5*10**7 (1.7 s,
-41 MiB), and its totient sum a prefix of about D^(2/3) (`--method sum`:
-0.21 s, 34 MiB).
+Totients come from one segmented product sieve, not max_n independent
+factorizations: in each block of _BLOCK entries, _smooth_blocks makes one
+in-place multiply per stride of each prime up to sqrt(max_n), and
+_totient_blocks finishes the block with one scatter for the primes above
+it.  The counts, the benchmark and the CLI's `table` and `series` reduce or
+write the blocks as they come and hold no table; totient_sieve copies them
+into one.  On a 2-vCPU Xeon VM, summing the blocks of 10**7 entries took
+0.22-0.29 s, and of all 10**8 2.8-3.1 s with a peak RSS of 45 MiB.  The
+CLI's `count 100000000` makes no such pass: its exclusion sum reads the
+smooth blocks of 1..5*10**7 with no scatter (0.6 s in-process; 0.7 s and
+35 MiB for `--method exclusion`), and its totient sum a prefix of about
+D^(2/3) (`--method sum`: 0.21 s, 34 MiB).
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from .core import Convention, _check_range, totient, totient_bruteforce
 
 #: Practical table-size limit; larger requests are refused.  A whole table
 #: (totient_sieve) costs 8 bytes per entry, roughly 800 MB at the limit.
-#: The block-by-block routes hold one block and 4 bytes per prime <= N/2,
-#: so for them the limit bounds time, 2.8-3.1 s for a pass over 10**8 entries.
+#: _totient_blocks holds one block and 4 bytes per prime <= N/2, so for its
+#: readers the limit bounds time, 2.8-3.1 s for a pass over 10**8 entries.
 SIEVE_LIMIT = 10**8
 
 #: Per-method input bounds for the benchmark.  The brute-force route costs
@@ -39,13 +40,17 @@ BENCH_FACTORIZATION_BOUND = 10**6
 
 _UINT64_MASK = 2**64 - 1
 
-#: Entries per block of _totient_blocks.  At least isqrt(SIEVE_LIMIT), so
-#: the first block holds every cofactor j <= max_n // (isqrt(max_n) + 1).
+#: Entries per block of _smooth_blocks.  At least isqrt(SIEVE_LIMIT), so
+#: the first block holds every cofactor j <= max_n // (isqrt(max_n) + 1), and
+#: at least 2 isqrt(SIEVE_LIMIT // 2) + 1, so it holds every k <= K of
+#: farey.count_by_exclusion.
 _BLOCK = 1 << 17
 
 
 def primes_up_to(n: int) -> np.ndarray:
-    """Primes <= n via a boolean Eratosthenes sieve."""
+    """Primes <= n via a boolean Eratosthenes sieve, for 0 <= n <= SIEVE_LIMIT
+    (n + 1 bytes of flags)."""
+    _check_range(n, "n", 0, SIEVE_LIMIT, "table limit")
     if n < 2:
         return np.empty(0, dtype=np.int64)
     flags = np.ones(n + 1, dtype=bool)
@@ -89,55 +94,73 @@ def _prime_count_bound(x: int) -> int:
     return int(1.25506 * x / log(x)) + 1 if x > 1 else 0
 
 
-def _totient_blocks(
-    max_n: int, convention: Convention
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (lo, values) for lo = 1, 1 + _BLOCK, ..., where the uint64
-    array values holds the totients of lo..min(lo + _BLOCK - 1, max_n).
+def _smooth_blocks(max_n: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Yield (lo, values, primes) for lo = 1, 1 + _BLOCK, ..., where the
+    uint64 array values holds, for n = lo..min(lo + _BLOCK - 1, max_n),
+    n * (1 - 1/p) over the primes p dividing n that are 2 or at most
+    sqrt(max_n), and primes lists, ascending, the n above sqrt(max_n) that
+    this left at n: the odd primes in (sqrt(max_n), max_n] of the block.
 
-    Each block starts as value[n] = n and is finished in three steps:
-
-    1. For each prime p <= sqrt(max_n), multiply its stride by 1 - 1/p in
-       place: a shift for p = 2, and for odd p one multiply by
-       c_p = p^-1 (p - 1) mod 2**64, p^-1 being the inverse of p mod 2**64.
-       p divides the running value wherever p divides n, so the wrapped
-       product is exactly value // p * (p - 1).
-    2. An entry above sqrt(max_n) that the strides left at n has no prime
-       factor <= sqrt(max_n), so it is a prime: its value is n - 1.  The
-       primes <= max_n // 2 are kept; they are the only large primes with a
-       cofactor j >= 2.
-    3. Every other n left with a prime factor p > sqrt(max_n) is j * p for
-       one cofactor 2 <= j <= max_n // (isqrt(max_n) + 1), whose value is
-       final in the first block, and value[j * p] = totient(j) * p, so one
-       scatter subtracts totient(j) at every such n of the block.
-
-    Besides the block, this holds the cofactors' totients and the kept
-    primes, about 4 bytes per prime <= max_n // 2.  max_n is checked when
-    the first block is asked for.
+    Each block starts as value[n] = n and, for each such prime p, has its
+    stride multiplied by 1 - 1/p in place: a shift for p = 2, and for odd p
+    one multiply by c_p = p^-1 (p - 1) mod 2**64, p^-1 being the inverse of
+    p mod 2**64.  p divides the running value wherever p divides n, so the
+    wrapped product is exactly value // p * (p - 1).  An entry above
+    sqrt(max_n) left at n has no prime factor <= sqrt(max_n), so it is a
+    prime.  So value[n] = totient(n) unless n = j * P for a prime
+    P > sqrt(max_n), and then value[n] = totient(j) * P, with j <= max_n //
+    (isqrt(max_n) + 1) <= isqrt(max_n) final in the first block.  This is
+    the package's one stride loop over totients.  max_n is checked when the
+    first block is asked for.
     """
     _check_range(max_n, "max_n", 1, SIEVE_LIMIT, "table limit")
     root = isqrt(max_n)
     odd = primes_up_to(root)[1:].tolist()
     multipliers = [np.uint64(pow(p, -1, 2**64) * (p - 1) & _UINT64_MASK) for p in odd]
-    cofactors = np.arange(2, max_n // (root + 1) + 1, dtype=np.int32)
-    half = max_n // 2
-    large = np.empty(_prime_count_bound(half), dtype=np.int32)  # primes in (root, half]
-    found = 0
-    cofactor_phi = None  # totient(j) for each cofactor j, from the first block
     for lo in range(1, max_n + 1, _BLOCK):
         hi = min(lo + _BLOCK - 1, max_n)
         val = np.arange(lo, hi + 1, dtype=np.uint64)
         val[lo & 1::2] >>= 1  # the even n
         for p, c in zip(odd, multipliers):
             val[-lo % p::p] *= c
-        if cofactor_phi is None:
-            cofactor_phi = val[1:len(cofactors) + 1].copy()
         first = max(root + 1, lo)
-        # uint32 holds every n <= SIEVE_LIMIT, and halves the temporary
-        primes = np.flatnonzero(val[first - lo:] == np.arange(first, hi + 1, dtype=np.uint32))
-        val[primes + (first - lo)] -= 1
-        primes = primes[: np.searchsorted(primes, half - first, side="right")]
-        large[found:found + len(primes)] = primes + first
+        # uint32 holds every n <= SIEVE_LIMIT, and halves the temporary; the
+        # primes are not named, so the reader alone holds them
+        yield lo, val, np.flatnonzero(
+            val[first - lo:] == np.arange(first, hi + 1, dtype=np.uint32)) + first
+        del val  # freed before the next block is made, if the reader let go too
+
+
+def _totient_blocks(
+    max_n: int, convention: Convention
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (lo, values) for lo = 1, 1 + _BLOCK, ..., where the uint64
+    array values holds the totients of lo..min(lo + _BLOCK - 1, max_n).
+
+    Each block of _smooth_blocks is finished in two steps:
+
+    1. Its primes' values become n - 1.  The primes <= max_n // 2 are kept;
+       they are the only large primes with a cofactor j >= 2.
+    2. Every other n left with a prime factor P > sqrt(max_n) is j * P for
+       one cofactor 2 <= j <= max_n // (isqrt(max_n) + 1), whose value is
+       final in the first block, and value[j * P] = totient(j) * P, so one
+       scatter subtracts totient(j) at every such n of the block.
+
+    Besides the block, this holds the cofactors' totients and the kept
+    primes, about 4 bytes per prime <= max_n // 2.  max_n is checked when
+    the first block is asked for.
+    """
+    half = max_n // 2
+    found = 0
+    for lo, val, primes in _smooth_blocks(max_n):
+        hi = lo + len(val) - 1
+        if lo == 1:  # max_n has passed _smooth_blocks' check
+            cofactors = np.arange(2, max_n // (isqrt(max_n) + 1) + 1, dtype=np.int32)
+            cofactor_phi = val[1:len(cofactors) + 1].copy()
+            large = np.empty(_prime_count_bound(half), dtype=np.int32)  # primes in (isqrt(max_n), half]
+        val[primes - lo] -= 1
+        primes = primes[: np.searchsorted(primes, half, side="right")]
+        large[found:found + len(primes)] = primes
         found += len(primes)
         del primes
         known = large[:found]
@@ -193,6 +216,7 @@ def cumulative_counts(checkpoints: Sequence[int]) -> list[CumulativeCountRow]:
     _check_range(checkpoints[0], "checkpoints", 1)
     if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
         raise ValueError("checkpoints must be strictly ascending")
+    _check_range(checkpoints[-1], "checkpoints", 1, SIEVE_LIMIT, "table limit")
     rows, pending = [], iter(checkpoints)
     d = next(pending)
     total = 0  # sum of totient(k) for k below the block in hand

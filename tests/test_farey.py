@@ -24,7 +24,7 @@ from totient_lab import (
     iter_farey_sequence,
 )
 from totient_lab.farey import _farey_blocks, _farey_windows, _totient_sum
-from totient_lab.sieve import _BLOCK, _totient_blocks
+from totient_lab.sieve import _BLOCK, _smooth_blocks, _totient_blocks
 from reference_values import totient_by_gcd_count
 from test_sieve import whole_table_totients
 
@@ -74,11 +74,32 @@ def per_entry_excluded(max_denominator: int) -> int:
     return excluded
 
 
+def excess_sizes(D: int) -> tuple[int, int]:
+    """(J, K) of count_by_exclusion at D: the largest cofactor j of a prime
+    above R = isqrt(D // 2) in 1..D // 2, and the last k with a prime in
+    (R, D // k]."""
+    R = math.isqrt(D // 2)
+    return D // 2 // (R + 1), D // (R + 1)
+
+
 #: D around the squares where the runs of equal floor(D/k) change from one k
-#: each to many, and D whose D // 2 lies at and around the sieve's block edges.
+#: each to many; D whose D // 2 lies at and around the sieve's block edges
+#: (2 m _BLOCK + 2 puts the point D // 2 on a block's first entry, and
+#: 3 (m _BLOCK + 1) the point D // 3); D whose D // 2 lies around r^2, where
+#: isqrt(D // 2) changes; and the first D above 9 * 10**4, 9.5 * 10**5 and
+#: 4.99 * 10**6 where J or K changes, each with its neighbours.
 RUN_SEAMS = sorted(
-    [r * r + delta for r in (300, 362, 512, 1000, 2236) for delta in (-1, 0, 1)]
-    + [2 * m * _BLOCK + delta for m in (1, 2, 3) for delta in range(-2, 4)]
+    {r * r + delta for r in (300, 362, 512, 1000, 2236) for delta in (-1, 0, 1)}
+    | {2 * m * _BLOCK + delta for m in (1, 2, 3) for delta in range(-2, 4)}
+    | {3 * (m * _BLOCK + 1) + delta for m in (1, 2) for delta in (-1, 0, 1)}
+    | {2 * (r * r + delta) + odd for r in (300, 1000, 1581, 2236)
+       for delta in (-1, 0, 1) for odd in (0, 1)}
+    | {s + delta
+       for lo, hi in [(90_000, 10**5), (950_000, 10**6), (4_990_000, 5 * 10**6)]
+       for i in (0, 1)
+       for s in [next(d for d in range(lo, hi)
+                      if excess_sizes(d)[i] != excess_sizes(d - 1)[i])]
+       for delta in (-1, 0, 1)}
 )
 
 
@@ -170,16 +191,20 @@ class TestCountByExclusion:
         assert (report.total_unreduced, report.excluded, report.count_by_exclusion) == (1, 0, 1)
 
     def test_sieves_half_of_d(self, monkeypatch):
-        # the exclusion sum reads 1..D/2; _totient_sum sieves its own prefix
-        sizes = []
+        # the exclusion sum reads the smooth blocks of 1..D/2; _totient_sum
+        # sieves its own prefix
+        calls = []
 
-        def recorded(max_n, convention):
-            sizes.append((max_n, convention))
-            return _totient_blocks(max_n, convention)
+        def recorded(route):
+            def call(*args):
+                calls.append((route.__name__, *args))
+                return route(*args)
+            return call
 
-        monkeypatch.setattr(farey, "_totient_blocks", recorded)
+        for route in (_smooth_blocks, _totient_blocks):
+            monkeypatch.setattr(farey, route.__name__, recorded(route))
         assert count_by_exclusion(10**6 + 1).consistent()
-        assert sizes == [(500_000, Convention.EULER), (10**4, Convention.MODERN)]
+        assert calls == [("_smooth_blocks", 500_000), ("_totient_blocks", 10**4, Convention.MODERN)]
 
     @pytest.mark.parametrize("d", [2, 3, 7, 20, 50, 97, 256, 999])
     def test_excluded_matches_explicit_loop(self, d):
@@ -196,6 +221,12 @@ class TestCountByExclusion:
     def test_excluded_matches_per_entry_route_to_3000(self):
         bad = [d for d in range(2, 3001) if count_by_exclusion(d).excluded != per_entry_excluded(d)]
         assert not bad, f"first wrong D={bad[0]}"
+
+    def test_run_seams_found(self):
+        # J changes first at 90,312 above 9 * 10**4, and K at 90,099
+        assert excess_sizes(90_311) == (211, 423) and excess_sizes(90_312) == (212, 424)
+        assert excess_sizes(90_098) == (211, 422) and excess_sizes(90_099) == (211, 423)
+        assert {90_098, 90_099, 90_100, 90_311, 90_312, 90_313} <= set(RUN_SEAMS)
 
     @pytest.mark.parametrize("d", [*RUN_SEAMS, 10**7])
     def test_excluded_matches_per_entry_route_at_seams(self, d):

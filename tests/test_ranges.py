@@ -6,8 +6,8 @@ core._check_range makes every such refusal, in one of three messages:
 above 2**64 - 1 whatever the entry point's own bound, and
 "{name}={value} exceeds the {bound} {high}" (ValueError), with a reason
 after it where one is given, above a lower bound.  Factorization checks
-its n as factorize does; gcd, is_prime, primes_up_to and
-totient_from_factorization take no bounded integer argument.
+its n as factorize does; gcd, is_prime and totient_from_factorization take
+no bounded integer argument.
 """
 
 import pytest
@@ -34,6 +34,7 @@ from totient_lab import (
     iter_farey_sequence,
     numbers_with_prime_support,
     phi_over_n,
+    primes_up_to,
     radical,
     series_coefficients,
     totient,
@@ -79,6 +80,7 @@ RANGES = {
     "group_by_coefficient": (group_by_coefficient, "max_n", 2, SERIES_MATERIALIZE_BOUND,
                              "bound", False),
     "totient_sieve": (totient_sieve, "max_n", 1, SIEVE_LIMIT, "table limit", False),
+    "primes_up_to": (primes_up_to, "n", 0, SIEVE_LIMIT, "table limit", False),
     "cumulative_counts": (lambda d: cumulative_counts([d]), "checkpoints", 1, SIEVE_LIMIT,
                           "table limit", False),
     "bench_totient_methods": (bench_totient_methods, "max_n", 1, SIEVE_LIMIT,
@@ -88,6 +90,18 @@ RANGES = {
 every_entry_point = pytest.mark.parametrize(
     "route,name,low,high,bound", [row[:5] for row in RANGES.values()], ids=list(RANGES))
 
+#: The reason that follows the bound in a refusal above it, where one is given.
+REASONS = {
+    "totient_bruteforce": "; totient_bruteforce is O(n log n) per call",
+    "coprime_numerators": "; coprime_numerators materializes O(d) values",
+    "count_by_enumeration": "; count_by_enumeration is O(D^2 log D)",
+    "farey_sequence": "; iter_farey_pairs and iter_farey_sequence stream beyond it",
+    "series_coefficients": "; the CLI's series streams beyond it",
+    "integrated_series_coefficients": "; the CLI's series streams beyond it",
+    "group_by_coefficient": "; the CLI's series streams beyond it",
+    "bench_totient_methods": "; above every method's bound, no method would run",
+}
+
 
 @every_entry_point
 def test_below_low_refused(route, name, low, high, bound):
@@ -96,12 +110,14 @@ def test_below_low_refused(route, name, low, high, bound):
     assert str(refusal.value) == f"{name} must be >= {low}, got {low - 1}"
 
 
-@every_entry_point
-def test_above_high_refused(route, name, low, high, bound):
+@pytest.mark.parametrize("route,name,high,bound,why", [
+    (route, name, high, bound, REASONS.get(key, ""))
+    for key, (route, name, _, high, bound, _) in RANGES.items()
+], ids=list(RANGES))
+def test_above_high_refused(route, name, high, bound, why):
     with pytest.raises(OverflowError if high == INT_CEILING else ValueError) as refusal:
         route(high + 1)
-    # cumulative_counts' sieve refuses its last checkpoint as max_n
-    assert f"={high + 1} exceeds the {bound} {high}" in str(refusal.value)
+    assert str(refusal.value) == f"{name}={high + 1} exceeds the {bound} {high}{why}"
 
 
 @every_entry_point

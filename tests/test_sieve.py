@@ -17,7 +17,7 @@ from totient_lab import (
     totient_sieve,
 )
 from totient_lab import sieve
-from totient_lab.sieve import BENCH_BRUTEFORCE_BOUND, _BLOCK, _totient_blocks
+from totient_lab.sieve import BENCH_BRUTEFORCE_BOUND, _BLOCK, _smooth_blocks, _totient_blocks
 from reference_values import (
     CUMULATIVE_ERRATA,
     CUMULATIVE_PRINTED,
@@ -138,9 +138,45 @@ BLOCK_EDGE_SIZES = sorted(
 )
 
 
+def smooth_values(max_n: int) -> np.ndarray:
+    """The values _smooth_blocks promises, from whole_table_totients: totient(n)
+    at the n with no odd prime factor above isqrt(max_n), and P * totient(n / P)
+    at the n with one, P."""
+    phi = whole_table_totients(max_n, MODERN)
+    expected = phi.copy()
+    primes = primes_up_to(max_n)
+    large = primes[(primes > isqrt(max_n)) & (primes != 2)]
+    for j in range(1, max_n // (isqrt(max_n) + 1) + 1):
+        ps = large[: np.searchsorted(large, max_n // j, side="right")]
+        expected[ps * j - 1] = ps.astype(np.uint64) * phi[j - 1]
+    return expected
+
+
+class TestSmoothBlocks:
+    # 1..40 (at 2 and 3, 2 is above the root and still sieved); around p^2 for
+    # primes p, where the root gains a prime; around the block edges
+    @pytest.mark.parametrize("max_n", sorted(
+        {*range(1, 41), 3 * 10**5}
+        | {r * r + d for r in (349, 547, 1009) for d in (-1, 0, 1)}
+        | {m * _BLOCK + d for m in (1, 2) for d in (-1, 0, 1, 2)}))
+    def test_values_and_primes_match_the_whole_table(self, max_n):
+        blocks = list(_smooth_blocks(max_n))
+        assert [lo for lo, _, _ in blocks] == list(range(1, max_n + 1, _BLOCK))
+        values = np.concatenate([values for _, values, _ in blocks])
+        assert first_difference(values, smooth_values(max_n)) is None
+        primes = primes_up_to(max_n)
+        expected = primes[(primes > isqrt(max_n)) & (primes != 2)]
+        for lo, values, block_primes in blocks:
+            inside = expected[(expected >= lo) & (expected < lo + len(values))]
+            assert block_primes.tolist() == inside.tolist(), f"block at {lo}"
+
+
 class TestTotientBlocks:
     def test_block_holds_every_cofactor_at_the_limit(self):
         assert _BLOCK >= isqrt(SIEVE_LIMIT)
+        # and every k <= D // (isqrt(D // 2) + 1) <= 2 isqrt(D // 2) + 1 of
+        # the exclusion count
+        assert _BLOCK >= 2 * isqrt(SIEVE_LIMIT // 2) + 1
 
     @pytest.mark.parametrize("convention", [EULER, MODERN])
     def test_matches_whole_table_kernel_to_2000(self, convention):
@@ -333,4 +369,5 @@ class TestPrimesUpTo:
         assert primes_up_to(2000).tolist() == small_primes(2000)
 
     def test_degenerate(self):
+        assert primes_up_to(0).tolist() == []
         assert primes_up_to(1).tolist() == []
