@@ -28,6 +28,7 @@ import gc
 import os
 import re
 import sys
+from itertools import starmap
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 import click
@@ -124,11 +125,19 @@ def _pieces(template: str) -> list[bytes | int]:
 def _digit_words() -> tuple[np.ndarray, np.ndarray]:
     """Words of four digit bytes: word q is q with NULs for its leading zeros,
     word 10**4 + q is q padded with zeros.  The first table, for a value's
-    lowest group, writes 0 as "0"; the second, for higher groups, as NULs."""
+    lowest group, writes 0 as "0"; the second, for higher groups, as NULs.
+
+    The tables' bytes are laid out directly, digit j of every word at once
+    by broadcasting, with no wider temporaries: 160 KB in all."""
     import numpy as np
 
-    n, powers = np.arange(2 * 10**4)[:, None], 10 ** np.arange(3, -1, -1)
-    high = np.where(n >= powers, n // powers % 10 + ord("0"), 0).astype(np.uint8)
+    digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    high = np.empty((2, 10, 10, 10, 10, 4), dtype=np.uint8)
+    for j in range(4):  # digit j of each word runs along axis j + 1
+        high[..., j] = digits.reshape((10,) + (1,) * (3 - j))
+    high = high.reshape(2 * 10**4, 4)
+    for j in range(4):  # digit j of q < 10**(3 - j) is a leading zero
+        high[:10 ** (3 - j), j] = 0
     low = high.copy()
     low[0, -1] = ord("0")
     return low.view(np.uint32).ravel(), high.view(np.uint32).ravel()
@@ -377,7 +386,9 @@ def cmd_table(max_n: int, convention: str, fmt: str) -> None:
 
     conv = Convention(convention)
     less = 1 - conv.value_at_one  # the written totients add up to Phi(N) - less
-    chunks = ((np.arange(lo, lo + len(values)), values) for lo, values in _totient_blocks(max_n, conv))
+    # starmap, unlike a generator expression, holds no block while the next is made
+    chunks = starmap(lambda lo, values: (np.arange(lo, lo + len(values)), values),
+                     _totient_blocks(max_n, conv))
     _write_rows(_TABLE_LAYOUTS[fmt], _checked_sum(chunks, 1, "phi", "Phi(N)" + "-1" * less,
                                                    lambda: _totient_sum(max_n) - less, max_n))
 

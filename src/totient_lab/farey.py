@@ -48,9 +48,9 @@ ENUMERATION_BOUND = 10**4
 #: (about 30 M rows), not memory.
 FAREY_MATERIALIZE_BOUND = 10**4
 
-#: Terms per block of _farey_blocks, roughly: F_D has about 3 D^2 / pi^2
-#: interior terms, so D^2 // (3 * _BLOCK) windows hold about 0.9 * _BLOCK
-#: each.
+#: The most terms a block of _farey_blocks is sized for, roughly: F_D has
+#: about 3 D^2 / pi^2 interior terms, so D^2 // (3 * T) windows hold about
+#: 0.9 * T each, T being _farey_windows' terms per window, at most _BLOCK.
 _BLOCK = 1 << 16
 
 
@@ -120,6 +120,7 @@ def _totient_sum(D: int) -> int:
         run = prefix[lo:lo + len(phi)]
         np.cumsum(phi, out=run)
         run += prefix[lo - 1]
+        del phi  # not held while the next block is made
     J = D // (L + 1)
     big = np.zeros(J + 1, dtype=np.uint64)
     for j in range(J, 0, -1):
@@ -268,8 +269,17 @@ def iter_farey_sequence(max_denominator: int) -> Iterator[Fraction]:
 
 
 def _farey_windows(D: int) -> int:
-    """How many value windows _farey_blocks splits (0, 1) into."""
-    return max(1, D * D // (3 * _BLOCK))
+    """How many value windows _farey_blocks splits (0, 1) into: D^2 // (3 T)
+    for T = min(max(2**14, 16 D), _BLOCK) terms per window, or one.
+
+    A window's temporaries take about 60 bytes per term, so T sets the
+    working set; it is 2**14 up to D = 1024.  Each window also costs O(D),
+    the lo, counts and repeat vectors over every denominator, which 16 D
+    keeps within a sixteenth of its terms.  T stops at _BLOCK from
+    D = 4096 on, so no D holds more than that.
+    """
+    terms = min(max(1 << 14, 16 * D), _BLOCK)
+    return max(1, D * D // (3 * terms))
 
 
 def _farey_blocks(D: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -284,9 +294,11 @@ def _farey_blocks(D: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     np.minimum.at keeps in each key's slot the least index of its
     candidates; a value's forms a/b, 2a/2b, ... come in that order, so that
     is its reduced form.  The filled slots, in key order, are the
-    window's terms ascending.  K <= 6 * _BLOCK and
-    M <= max(1, D^2 / (3 * _BLOCK)), so every product stays below
-    max(6 * _BLOCK * D, D^3 / (3 * _BLOCK)), inside int64 for
+    window's terms ascending.  With T the terms per window of
+    _farey_windows, K <= 6 T <= 6 * _BLOCK (M > D^2 / (6 T) when M >= 2,
+    and K = D^2 < 6 T when M = 1), and M <= D^2 / (3 * 2**14).  So a M and
+    i b stay below D M <= D^3 / (3 * 2**14), and (a M - i b) K below
+    D K <= 6 * _BLOCK * D, as a M - i b < b: inside int64 for
     D <= FAREY_MATERIALIZE_BOUND and far beyond.  A window costs O(D)
     besides its terms.  D is checked, against 2 and the bound, when the
     first block is asked for.

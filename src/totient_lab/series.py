@@ -85,6 +85,7 @@ def _coefficient_blocks(max_n: int) -> Iterator[tuple[np.ndarray, ...]]:
             block = phi[start - lo:start - lo + _CHUNK]
             n = np.arange(start, start + len(block), dtype=np.uint64)
             yield (n, block, *_reduced(block, n))
+        del phi, block  # not held while the next block is made
 
 
 def integrated_series_coefficients(max_n: int) -> list[Fraction]:

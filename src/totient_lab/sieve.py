@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import starmap
 from math import isqrt, log
 from typing import Callable, Iterator, Sequence
 
@@ -179,6 +180,7 @@ def _totient_blocks(
         if lo == 1:
             val[0] = convention.value_at_one
         yield lo, val
+        del val  # freed before the next block is made, if the reader let go too
 
 
 def totient_sieve(
@@ -227,6 +229,7 @@ def cumulative_counts(checkpoints: Sequence[int]) -> list[CumulativeCountRow]:
                 max_denominator=d, fraction_count=total + int(running[d - lo])))
             d = next(pending, None)
         total += int(running[-1])
+        del values, running  # not held while the next block is made
     return rows
 
 
@@ -267,8 +270,10 @@ _BENCH_METHODS: tuple[tuple[str, int, str, Callable[[int], int]], ...] = (
      lambda max_n: _weighted_checksum(
          lambda n: totient(n, Convention.EULER), max_n)),
     ("sieve", SIEVE_LIMIT, "sieve limit",
-     lambda max_n: sum(int(np.dot(np.arange(lo, lo + len(phi), dtype=np.uint64), phi))
-                       for lo, phi in _totient_blocks(max_n, Convention.EULER)) & _UINT64_MASK),
+     # starmap, unlike a generator expression, holds no block while the next is made
+     lambda max_n: sum(starmap(
+         lambda lo, phi: int(np.dot(np.arange(lo, lo + len(phi), dtype=np.uint64), phi)),
+         _totient_blocks(max_n, Convention.EULER))) & _UINT64_MASK),
 )
 
 

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 from fractions import Fraction
 from itertools import starmap
@@ -35,12 +36,14 @@ from totient_lab import (
     totient,
     totient_sieve,
 )
-from totient_lab.farey import _farey_blocks
+from totient_lab.farey import _farey_blocks, _farey_windows
 from reference_values import CUMULATIVE_PRINTED, TOTIENT_1_TO_100
 
 GOLDEN = Path(__file__).parent / "golden"
 EULER = Convention.EULER
 FORMATS = ["plain", "csv", "json"]
+#: The least D whose terms _farey_blocks yields in two value windows.
+FAREY_SEAM_D = next(d for d in itertools.count(2) if _farey_windows(d) > 1)
 
 
 @pytest.fixture()
@@ -546,9 +549,10 @@ class TestFareyCommand:
         assert result.stdout == ""
 
     @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
-    @pytest.mark.parametrize("d", [2, 10, 470, 700])
+    @pytest.mark.parametrize("d", [2, 10, FAREY_SEAM_D, 470])
     def test_matches_text_rebuilt_from_sequence(self, runner, d, fmt):
-        # D = 470 gives 67,291 rows in one block, D = 700 two blocks
+        # D = 2 and 10 give one block, FAREY_SEAM_D two, and D = 470 four,
+        # each of which json renders in pieces
         seq = farey_sequence(d)
         expected = {
             "plain": "".join(f"{f}\n" for f in seq) + f"count: {len(seq)}\n",
@@ -564,12 +568,16 @@ class TestFareyCommand:
         }[fmt]
         assert_same_text(run_ok(runner, ["farey", str(d), "--format", fmt]), expected)
 
-    def test_470_crosses_a_chunk_boundary(self):
-        # the renderer's lines are 8 bytes wide in plain and csv
-        assert len(farey_sequence(470)) == 67_291 > cli.RENDER_BYTES // 8
+    def test_470_windows_cross_render_pieces_in_json(self):
+        # _render lays out RENDER_BYTES // width rows at a time, width being
+        # a row and its separator at the chunk's maxima; the windows have
+        # fewer rows than a piece of plain or csv, which `table` crosses
+        row, sep = cli._FAREY_LAYOUTS["json"][1:3]
+        for num, den in _farey_blocks(470):
+            assert len(num) > cli.RENDER_BYTES // len(row.format(num.max(), den.max()) + sep)
 
-    def test_700_crosses_a_block_seam(self):
-        assert len(list(_farey_blocks(700))) == 2
+    def test_seam_d_crosses_a_window_seam(self):
+        assert len(list(_farey_blocks(FAREY_SEAM_D))) == 2
 
     @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
     @pytest.mark.parametrize("fault,message", [

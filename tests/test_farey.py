@@ -363,6 +363,17 @@ class TestFareyBlocks:
     def test_match_walk_where_window_count_changes(self, d):
         assert block_pairs(d) == list(iter_farey_pairs(d))
 
+    def test_key_intermediates_inside_int64_up_to_the_bound(self):
+        # a M and i b are at most D M, and (a M - i b) K is below D K, as
+        # a M - i b < b <= D; K <= 6 T and M <= D^2 / (3 * 2**14), T being
+        # the terms per window
+        for d in range(2, FAREY_MATERIALIZE_BOUND + 1):
+            m = _farey_windows(d)
+            k = -(-d * d // m)
+            assert k <= 6 * farey._BLOCK, d
+            assert m == 1 or 3 * 2**14 * m <= d * d, d
+            assert d * max(m, k) < 2**63, d
+
     def test_bound_refused_at_first_block(self):
         blocks = _farey_blocks(FAREY_MATERIALIZE_BOUND + 1)
         with pytest.raises(ValueError, match="exceeds the sequence bound"):

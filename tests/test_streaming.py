@@ -1,17 +1,24 @@
 """The streamed output of `farey`, `table` and `series`, and the memory of
 `count` and `bench`, checked in child processes: peak memory stays flat as
 the output grows, grows by a fixed number of bytes per table entry, and a
-reader that stops early is not an error."""
+reader that stops early is not an error.  In-process, tracemalloc bounds the
+working set of the producers and of the readers that hold one block at a
+time."""
 
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
 import totient_lab
-from totient_lab import SIEVE_LIMIT
+import totient_lab.cli as cli
+from totient_lab import SIEVE_LIMIT, bench_totient_methods, cumulative_counts
+from totient_lab.farey import _farey_blocks, _totient_sum
+from totient_lab.series import _coefficient_blocks
 
 ENV = {**os.environ, "PYTHONPATH": str(Path(totient_lab.__file__).resolve().parents[1])}
 CLI = [sys.executable, "-m", "totient_lab.cli"]
@@ -52,6 +59,13 @@ def peak_rss_per_entry(command: str, *options: str) -> float:
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB, Linux exec semantics")
 class TestFlatMemory:
+    def test_farey_csv_peak_rss_near_that_of_the_least_d(self):
+        # farey 1497 holds a window of about 22 k terms (2.7 MiB above
+        # farey 2 with windows of 62 k and an int64 digit table)
+        small = peak_rss_bytes("farey", "2", "--format", "csv")
+        large = peak_rss_bytes("farey", "1497", "--format", "csv")
+        assert large - small <= 2 * 2**20, f"peak RSS {small} -> {large} bytes"
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_farey_peak_rss_flat_as_d_grows_4x(self, fmt):
         # the output grows from 0.08 M to 1.2 M rows
@@ -104,6 +118,73 @@ class TestFlatMemory:
         # (70 k at N = 5*10**5, 112 k at 2*10**6)
         per_entry = peak_rss_per_entry("series", "--grouped", "--format", fmt)
         assert per_entry <= 4, f"{per_entry:.1f} bytes per entry"
+
+
+def traced_peak(run) -> int:
+    """The tracemalloc peak of run(), in bytes, after a first run that
+    leaves imports and caches warm."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def drain(chunks) -> None:
+    """Read chunks to the end, holding none of them."""
+    for chunk in chunks:
+        del chunk
+
+
+def table_chunks(max_n: int) -> None:
+    """Read the chunks `table max_n` writes, without rendering them."""
+    def read(layout, chunks, **fields):
+        drain(chunks)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_write_rows", read)
+        assert CliRunner().invoke(cli.main, ["table", str(max_n)]).exit_code == 0
+
+
+#: The sieve's readers over 2,499,750 entries, 20 blocks.  Each held its
+#: last block, and _totient_blocks its own, while the next was made: their
+#: peaks read 4.13-5.13 MiB; holding one block, 3.13-3.26 (numpy 2.4).
+BLOCK_READERS = {
+    "cumulative_counts": lambda: cumulative_counts([2_499_750]),
+    "bench sieve route": lambda: bench_totient_methods(2_499_750),
+    "_coefficient_blocks": lambda: drain(_coefficient_blocks(2_499_750)),
+    "table": lambda: table_chunks(2_499_750),
+}
+
+
+class TestWorkingSet:
+    def test_digit_words(self):
+        # 160 KB of tables; built through int64 temporaries they took 1.45 MiB
+        def build():
+            cli._digit_words.cache_clear()
+            cli._digit_words()
+
+        assert traced_peak(build) <= 2**19
+
+    def test_one_pass_of_farey_blocks_at_the_benchmark_size(self):
+        # windows of about 22 k terms, 1.28 MiB (3.54 with windows of 62 k)
+        assert traced_peak(lambda: drain(_farey_blocks(1497))) <= 2 * 2**20
+
+    def test_farey_blocks_at_the_sequence_bound(self):
+        # windows of at most 2**16 terms, 3.68 MiB (8.71 with 16 D terms
+        # uncapped, about 160 k)
+        assert traced_peak(lambda: drain(_farey_blocks(10**4))) <= 3.84 * 2**20
+
+    @pytest.mark.parametrize("read", BLOCK_READERS.values(), ids=BLOCK_READERS.keys())
+    def test_sieve_readers_hold_one_block(self, read):
+        assert traced_peak(read) <= 3.5 * 2**20
+
+    def test_totient_sum_holds_one_block(self):
+        # a prefix of 215,443 entries in two blocks, 3.98 MiB (4.36 with
+        # the first block held while the second was made)
+        assert traced_peak(lambda: _totient_sum(10**8)) <= 4.2 * 2**20
 
 
 @pytest.mark.parametrize("args", [
