@@ -43,7 +43,10 @@ _DECIMAL_RE = re.compile(r"[0-9]+")
 
 #: Bytes of text that _render lays out at a time, about; its byte matrix,
 #: four bytes per group of four digits, is at most four times as large.
-RENDER_BYTES = 1 << 19
+#: 256 KiB still renders a Farey value window of `farey 1497 --format csv`
+#: (about 22 k rows of 10 bytes) in one piece, and takes 0.6-0.9 MiB off
+#: the traced peak of `series 99500 --grouped`, laid out a line per member.
+RENDER_BYTES = 1 << 18
 
 
 class DomainError(click.ClickException):

@@ -69,14 +69,20 @@ def series_coefficients(max_n: int) -> list[int]:
 
 
 def _reduced(phi: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Numerators and denominators of phi/n in lowest terms."""
+    """Numerators and denominators of phi/n in lowest terms, as uint32,
+    which holds every n <= SIEVE_LIMIT and on which np.gcd is faster than
+    on uint64."""
+    phi, n = phi.astype(np.uint32), n.astype(np.uint32)
     g = np.gcd(phi, n)
-    return phi // g, n // g
+    phi //= g
+    n //= g
+    return phi, n
 
 
 def _coefficient_blocks(max_n: int) -> Iterator[tuple[np.ndarray, ...]]:
-    """(n, totient(n), num, den) as uint64 columns for n = 2..max_n, at most
-    _CHUNK rows at a time, num/den being totient(n)/n in lowest terms.  The
+    """(n, totient(n), num, den) for n = 2..max_n, at most _CHUNK rows at a
+    time, num/den being totient(n)/n in lowest terms: n and totient(n) as
+    uint64 columns, num and den as uint32.  The
     totients are read from the sieve's blocks as they come, so no table is
     held; max_n is checked when the first block is asked for."""
     _check_range(max_n, "max_n", 2, SIEVE_LIMIT, "table limit")
@@ -85,7 +91,7 @@ def _coefficient_blocks(max_n: int) -> Iterator[tuple[np.ndarray, ...]]:
             block = phi[start - lo:start - lo + _CHUNK]
             n = np.arange(start, start + len(block), dtype=np.uint64)
             yield (n, block, *_reduced(block, n))
-        del phi, block  # not held while the next block is made
+        del phi, block, n  # not held while the next block is made
 
 
 def integrated_series_coefficients(max_n: int) -> list[Fraction]:
@@ -115,18 +121,20 @@ class CoefficientGroup:
 
 
 def _ranges(first: np.ndarray, counts: np.ndarray, step: np.ndarray) -> np.ndarray:
-    """first[i] + j * step[i] for j = 0..counts[i] - 1, for each i in turn."""
-    run = np.repeat(np.cumsum(counts) - counts, counts)  # where each run starts
-    run -= np.arange(len(run))
-    run *= -np.repeat(step, counts)
+    """first[i] + j * step[i] for j = 0..counts[i] - 1, for each i in turn,
+    in the dtype of counts, which first and step share."""
+    run = np.repeat(np.cumsum(counts, dtype=counts.dtype) - counts, counts)  # where each run starts
+    run -= np.arange(len(run), dtype=run.dtype)
+    run *= np.repeat(-step, counts)
     run += np.repeat(first, counts)
     return run
 
 
 def _cofactors(primes: np.ndarray, max_n: int) -> tuple[np.ndarray, np.ndarray]:
     """The k with k * rad(k) <= max_n, ascending, and their radicals rad(k),
-    as int64; ``primes`` holds the primes <= isqrt(max_n), the only ones
-    such a k can have.  No product exceeds max_n**2, which int64 holds."""
+    as int32; ``primes`` holds the primes <= isqrt(max_n), the only ones
+    such a k can have.  The products are made in int64: none exceeds
+    max_n**2, which int64 holds."""
     ks, rads = np.ones(1, dtype=np.int64), np.ones(1, dtype=np.int64)
     for p in primes.tolist():
         # the k found so far have only primes below p: add each k * p**e
@@ -136,7 +144,7 @@ def _cofactors(primes: np.ndarray, max_n: int) -> tuple[np.ndarray, np.ndarray]:
             parts.append((k, rad))
         ks, rads = map(np.concatenate, zip(*parts))
     order = np.argsort(ks)
-    return ks[order], rads[order]
+    return ks[order].astype(np.int32), rads[order].astype(np.int32)
 
 
 def _coefficient_groups(max_n: int) -> Iterator[tuple[np.ndarray, ...]]:
@@ -153,11 +161,15 @@ def _coefficient_groups(max_n: int) -> Iterator[tuple[np.ndarray, ...]]:
     squarefree, and the others pair with each k <= max_n // s whose rad(k)
     divides them.  Sorted by (r, k), the pairs give the members r * k, and
     totient(r) is read from the block, so nothing of size max_n is held.
+    The pairs are int32, members included, and their offsets r - s, each
+    below _CHUNK <= 2**16, uint16 once the squarefree r are picked, so the
+    stable argsort that orders them is a radix sort.
     max_n is checked when the first chunk is asked for.
     """
     _check_range(max_n, "max_n", 2, SIEVE_LIMIT, "table limit")
+    # int32 holds every value made below: none exceeds 2 * SIEVE_LIMIT < 2**31
     primes = primes_up_to(isqrt(max_n))
-    squares = primes * primes
+    squares = (primes * primes).astype(np.int32)
     ks, rads = _cofactors(primes, max_n)
     for lo, phi in _totient_blocks(max_n, Convention.EULER):
         for s in range(max(lo, 2), lo + len(phi), _CHUNK):
@@ -171,17 +183,27 @@ def _coefficient_groups(max_n: int) -> Iterator[tuple[np.ndarray, ...]]:
             rad = rads[:len(k)]
             above = -(-s // rad)
             counts = np.minimum(e - 1, max_n // k) // rad - above + 1
-            r, k = _ranges(above * rad - s, counts, rad), np.repeat(k, counts)
+            r = _ranges(above * rad - s, counts, rad)
             keep = np.flatnonzero(squarefree[r])
-            order = keep[np.argsort(r[keep], kind="stable")]  # k stays ascending in each r
-            r, members = r[order], (r[order] + s) * k[order]
+            # each array is dropped once read: the first sub-block's pairs
+            # set the peak of the whole stream
+            r = r[keep].astype(np.uint16)
+            k = np.repeat(k, counts)[keep]
+            del keep, squarefree
             sizes = np.bincount(r, minlength=e - s)
+            order = np.argsort(r, kind="stable")  # a radix sort; k stays ascending in each r
+            members = r.astype(np.int32)
+            del r
+            members += s
+            members *= k
+            del k
+            members = members[order]
+            del order
             radicals = np.flatnonzero(sizes)
             if not radicals.size:  # no squarefree r, as in [65538, 65539) at 65538
                 continue
             edges = np.concatenate(([0], np.cumsum(sizes[radicals])))
             g = (radicals + s).astype(np.uint64)
-            del r, k, keep, order, squarefree  # not held while the chunk is rendered
             yield g, *_reduced(phi[radicals + (s - lo)], g), edges, members
 
 

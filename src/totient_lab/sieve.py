@@ -157,7 +157,7 @@ def _totient_blocks(
         hi = lo + len(val) - 1
         if lo == 1:  # max_n has passed _smooth_blocks' check
             cofactors = np.arange(2, max_n // (isqrt(max_n) + 1) + 1, dtype=np.int32)
-            cofactor_phi = val[1:len(cofactors) + 1].copy()
+            cofactor_phi = val[1:len(cofactors) + 1].astype(np.uint32)  # phi(j) <= j <= isqrt(max_n)
             large = np.empty(_prime_count_bound(half), dtype=np.int32)  # primes in (isqrt(max_n), half]
         val[primes - lo] -= 1
         primes = primes[: np.searchsorted(primes, half, side="right")]

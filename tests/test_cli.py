@@ -135,12 +135,13 @@ class TestRender:
     @pytest.mark.parametrize("layout", RENDERED_LAYOUTS.values(), ids=RENDERED_LAYOUTS.keys())
     @pytest.mark.parametrize("rows", [1, len(EDGE_VALUES), 100])
     @pytest.mark.parametrize("render_bytes", [1, 256, cli.RENDER_BYTES])
-    @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint32, np.int64, np.uint64])
     def test_matches_str_format(self, monkeypatch, layout, rows, render_bytes, dtype):
         # passes of one row, of a few rows, and of all of them
         monkeypatch.setattr(cli, "RENDER_BYTES", render_bytes)
         row, sep = layout
-        values = np.resize(np.array(EDGE_VALUES, dtype=dtype), rows)
+        edges = [v for v in EDGE_VALUES if v <= np.iinfo(dtype).max]
+        values = np.resize(np.array(edges, dtype=dtype), rows)
         # four columns, each holding every edge value once the rows allow it
         columns = tuple(np.roll(values, shift) for shift in range(4))
         expected = sep.join(starmap(row.format, zip(*(c.tolist() for c in columns))))
@@ -189,7 +190,7 @@ def radical_dict_groups(max_n: int) -> list[tuple[int, int, int, list[int]]]:
 
 class TestGroupedRender:
     @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
-    @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint32, np.int64, np.uint64])
     def test_matches_str_format_across_digit_widths(self, fmt, dtype):
         # group values and members on both sides of 9/10 and 99/100, in
         # groups of one to four members

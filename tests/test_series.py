@@ -188,6 +188,27 @@ class TestCoefficientGroups:
         assert (count, total) == (max_n - 1, max_n * (max_n + 1) // 2 - 1)
 
 
+class TestNarrowTypes:
+    # _coefficient_groups holds its pairs in the narrowest types that hold
+    # them; numpy wraps silently where a value does not fit
+    def test_chunk_offsets_fit_uint16(self):
+        # the offsets r - s of a sub-block's radicals are below _CHUNK
+        assert _CHUNK <= 2**16
+
+    def test_pairs_fit_int32(self):
+        # the pairs' values, members and least multiples above s included,
+        # are at most 2 * SIEVE_LIMIT
+        assert 2 * SIEVE_LIMIT < 2**31
+
+    @pytest.mark.parametrize("max_n", [sieve._BLOCK + 2, 300_000])
+    def test_matches_radical_table_in_sub_blocks_of_2_16(self, monkeypatch, max_n):
+        # the largest _CHUNK whose offsets uint16 holds; below _CHUNK's
+        # 2**14 every offset fits int16 too, so only a larger sub-block
+        # tells the two apart
+        monkeypatch.setattr(series, "_CHUNK", 2**16)
+        assert_groups_match_radical_table(max_n)
+
+
 class TestProductsAtTheTableLimit:
     # numpy array arithmetic wraps silently on overflow, so these compare
     # the int64 products k * rad(k) * p**2 and r * k at SIEVE_LIMIT with

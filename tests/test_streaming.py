@@ -18,7 +18,7 @@ import totient_lab
 import totient_lab.cli as cli
 from totient_lab import SIEVE_LIMIT, bench_totient_methods, cumulative_counts
 from totient_lab.farey import _farey_blocks, _totient_sum
-from totient_lab.series import _coefficient_blocks
+from totient_lab.series import _coefficient_blocks, _coefficient_groups
 
 ENV = {**os.environ, "PYTHONPATH": str(Path(totient_lab.__file__).resolve().parents[1])}
 CLI = [sys.executable, "-m", "totient_lab.cli"]
@@ -66,6 +66,15 @@ class TestFlatMemory:
         large = peak_rss_bytes("farey", "1497", "--format", "csv")
         assert large - small <= 2 * 2**20, f"peak RSS {small} -> {large} bytes"
 
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    def test_series_grouped_peak_rss_near_that_of_the_least_n(self, fmt):
+        # series 99500 --grouped holds int32 pairs of 16,384 radicals and
+        # renders 256 KiB pieces (4.3 MiB above series 2 --grouped with
+        # int64 pairs and 512 KiB pieces)
+        small = peak_rss_bytes("series", "2", "--grouped", "--format", fmt)
+        large = peak_rss_bytes("series", "99500", "--grouped", "--format", fmt)
+        assert large - small <= 3 * 2**20, f"peak RSS {small} -> {large} bytes"
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_farey_peak_rss_flat_as_d_grows_4x(self, fmt):
         # the output grows from 0.08 M to 1.2 M rows
@@ -112,7 +121,7 @@ class TestFlatMemory:
     @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
     def test_series_grouped_peak_rss_per_entry(self, fmt):
         # the groups are made from 16,384 radicals of a block of the sieve
-        # at a time, and the renderer lays out about 512 KiB of lines at a
+        # at a time, and the renderer lays out about 256 KiB of lines at a
         # time; what grows is the sieve's buffer of the primes <= N/2, and
         # the pairs of the first radicals, which hold the most members
         # (70 k at N = 5*10**5, 112 k at 2*10**6)
@@ -150,7 +159,9 @@ def table_chunks(max_n: int) -> None:
 
 #: The sieve's readers over 2,499,750 entries, 20 blocks.  Each held its
 #: last block, and _totient_blocks its own, while the next was made: their
-#: peaks read 4.13-5.13 MiB; holding one block, 3.13-3.26 (numpy 2.4).
+#: peaks read 4.13-5.13 MiB; holding one block, 3.13-3.26; with the
+#: cofactors' totients uint32 in the large-prime scatter, and no n of
+#: _coefficient_blocks held past its block, 2.86 (numpy 2.4).
 BLOCK_READERS = {
     "cumulative_counts": lambda: cumulative_counts([2_499_750]),
     "bench sieve route": lambda: bench_totient_methods(2_499_750),
@@ -179,7 +190,16 @@ class TestWorkingSet:
 
     @pytest.mark.parametrize("read", BLOCK_READERS.values(), ids=BLOCK_READERS.keys())
     def test_sieve_readers_hold_one_block(self, read):
-        assert traced_peak(read) <= 3.5 * 2**20
+        assert traced_peak(read) <= 3 * 2**20
+
+    def test_one_pass_of_coefficient_groups_at_the_benchmark_size(self):
+        # int32 pairs with uint16 offsets, 1.69 MiB (3.52 with int64 pairs)
+        assert traced_peak(lambda: drain(_coefficient_groups(99_500))) <= 2.25 * 2**20
+
+    def test_first_groups_at_the_table_limit(self):
+        # the first sub-block's pairs hold the most members: 22.9 MiB
+        # (41.2 with int64 pairs)
+        assert traced_peak(lambda: next(_coefficient_groups(SIEVE_LIMIT))) <= 30 * 2**20
 
     def test_totient_sum_holds_one_block(self):
         # a prefix of 215,443 entries in two blocks, 3.98 MiB (4.36 with
