@@ -92,21 +92,6 @@ _format_option = click.option(
 )
 
 
-def _lib_errors(fn):
-    """Map library domain, overflow, and allocation errors to exit code 2."""
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except (ValueError, OverflowError) as exc:
-            raise DomainError(str(exc)) from exc
-        except MemoryError as exc:
-            raise DomainError("allocation failed; request a smaller range") from exc
-
-    return wrapper
-
-
 def _pieces(template: str) -> list[bytes | int]:
     """A template's literal text, as bytes, and its fields, bare {} or {i},
     as column indices, in order."""
@@ -305,7 +290,20 @@ def _write_record(fmt: str, fields: dict) -> None:
         _write_lines(f"{name}: {value}" for name, value in fields.items() if value is not None)
 
 
-@click.group()
+class _Commands(click.Group):
+    """The command group: every command's library domain, overflow and
+    allocation errors leave with exit code 2."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (ValueError, OverflowError) as exc:
+            raise DomainError(str(exc)) from exc
+        except MemoryError as exc:
+            raise DomainError("allocation failed; request a smaller range") from exc
+
+
+@click.group(cls=_Commands)
 @click.version_option(__version__)
 def main() -> None:
     """Totient values, reduced-fraction counts, and series coefficients."""
@@ -318,7 +316,6 @@ def main() -> None:
 @click.option("--verbose", is_flag=True,
               help="Show the factorization and the product-formula derivation "
                    "(plain and json only).")
-@_lib_errors
 def cmd_totient(n: int, convention: str, fmt: str, verbose: bool) -> None:
     """Totient of N: how many positive integers below N are coprime to it."""
     if verbose and fmt == "csv":
@@ -379,7 +376,6 @@ def _checked_sum(chunks: Iterable, column: int, name: str, identity: str,
 @click.argument("max_n", type=DECIMAL)
 @_convention_option
 @_format_option
-@_lib_errors
 def cmd_table(max_n: int, convention: str, fmt: str) -> None:
     """Totient values for every n in 1..MAX_N."""
     import numpy as np
@@ -402,7 +398,6 @@ def cmd_table(max_n: int, convention: str, fmt: str) -> None:
               default="all", show_default=True,
               help="Counting route; `all` runs every route and cross-checks.")
 @_format_option
-@_lib_errors
 def cmd_count(max_denominator: int, method: str, fmt: str) -> None:
     """Count the reduced fractions in (0, 1) with denominator <= MAX_DENOMINATOR."""
     from .farey import (ENUMERATION_BOUND, count_by_enumeration, count_by_exclusion,
@@ -488,7 +483,6 @@ def _checked_farey_blocks(D: int, count: int) -> Iterator[tuple[np.ndarray, np.n
 @main.command("farey")
 @click.argument("max_denominator", type=DECIMAL)
 @_format_option
-@_lib_errors
 def cmd_farey(max_denominator: int, fmt: str) -> None:
     """The reduced fractions in (0, 1) with denominator <= MAX_DENOMINATOR,
     in increasing order."""
@@ -539,7 +533,6 @@ _GROUPED_LAYOUTS = {
 @click.option("--grouped", is_flag=True,
               help="Group n = 2..MAX_N by equal coefficient totient(n)/n.")
 @_format_option
-@_lib_errors
 def cmd_series(max_n: int, grouped: bool, fmt: str) -> None:
     """Series coefficients: totient(n) and the reduced rational totient(n)/n
     for n = 2..MAX_N."""
@@ -558,7 +551,6 @@ def cmd_series(max_n: int, grouped: bool, fmt: str) -> None:
 @main.command("bench")
 @click.argument("max_n", type=DECIMAL)
 @_format_option
-@_lib_errors
 def cmd_bench(max_n: int, fmt: str) -> None:
     """Time the totient routes over 1..MAX_N and cross-check their checksums."""
     from .sieve import bench_totient_methods

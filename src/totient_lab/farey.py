@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Iterator
 import numpy as np
 
 from .core import Convention, _check_range
-from .sieve import SIEVE_LIMIT, _smooth_blocks, _totient_blocks
+from .sieve import SIEVE_LIMIT, _smooth_blocks, _totient_blocks, totient_sieve
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -59,6 +59,9 @@ class FareyCountReport:
     """Counts for one maximum denominator D, cross-checkable across routes.
 
     count_by_enumeration is None unless the enumeration route was run.
+    total_unreduced = D(D-1)/2 and count_by_exclusion = total_unreduced -
+    excluded hold by construction: a report that breaks either is refused
+    with ValueError.
     """
 
     max_denominator: int
@@ -68,22 +71,24 @@ class FareyCountReport:
     count_by_totient_sum: int
     count_by_enumeration: int | None = None
 
+    def __post_init__(self) -> None:
+        d, total = self.max_denominator, self.total_unreduced
+        if total != d * (d - 1) // 2:
+            raise ValueError(f"total_unreduced={total} != D(D-1)/2={d * (d - 1) // 2}")
+        if self.count_by_exclusion != total - self.excluded:
+            raise ValueError(f"count_by_exclusion={self.count_by_exclusion} != "
+                             f"total_unreduced-excluded={total - self.excluded}")
+
     def first_broken_identity(self) -> str | None:
-        """The first mutual identity that the populated fields break, as
-        ``"lhs=value != rhs=value"``, or None when every one holds.
+        """The first identity between two routes that the populated fields
+        break, as ``"lhs=value != rhs=value"``, or None when every one holds.
 
         count_by_exclusion = count_by_totient_sum spans two algorithms: a
         sieve of k <= D/2 weighted by floor(D/k) - 1 and summed per run of
         equal floor(D/k), against the recursion of _totient_sum over the
         quotients of D on a prefix of D^(2/3)."""
-        d = self.max_denominator
-        identities = [
-            ("total_unreduced", self.total_unreduced, "D(D-1)/2", d * (d - 1) // 2),
-            ("count_by_exclusion", self.count_by_exclusion,
-             "total_unreduced-excluded", self.total_unreduced - self.excluded),
-            ("count_by_exclusion", self.count_by_exclusion,
-             "count_by_totient_sum", self.count_by_totient_sum),
-        ]
+        identities = [("count_by_exclusion", self.count_by_exclusion,
+                       "count_by_totient_sum", self.count_by_totient_sum)]
         if self.count_by_enumeration is not None:
             identities.append(("count_by_enumeration", self.count_by_enumeration,
                                "count_by_exclusion", self.count_by_exclusion))
@@ -91,10 +96,6 @@ class FareyCountReport:
             if left != right:
                 return f"{lhs}={left} != {rhs}={right}"
         return None
-
-    def consistent(self) -> bool:
-        """True when every populated field satisfies the mutual identities."""
-        return self.first_broken_identity() is None
 
 
 def _totient_sum(D: int) -> int:
@@ -174,8 +175,7 @@ def count_by_exclusion(max_denominator: int) -> FareyCountReport:
     keeps j * P <= N.  The points D // k ascend as k falls, so each block
     counts its primes up to the points inside it with one searchsorted,
     onto the running count of the blocks before, and pi is never held.
-    Every k <= K <= 2R + 1 is in the first block (sieve._BLOCK), where its
-    value is totient(k) but at the primes in (R, K], which read P.  The
+    The cototients come from a table of k <= K <= 2R + 1.  The
     count_by_totient_sum field comes from _totient_sum, another algorithm
     on another sieve prefix, so the two counts check each other;
     count_by_enumeration is the independent oracle.
@@ -191,14 +191,13 @@ def count_by_exclusion(max_denominator: int) -> FareyCountReport:
     K = D // (R + 1)
     k = np.arange(K, 1, -1, dtype=np.int64)
     points = D // k  # ascending
+    cototient = k.astype(np.uint64)
+    cototient -= totient_sieve(K).values[k - 1]
     excluded = 0
     done = 0  # the points in the blocks before the one in hand
     below = 0  # the primes above R in those blocks
     for lo, values, primes in _smooth_blocks(N):
         if lo == 1:
-            cototient = k.astype(np.uint64)
-            cototient -= values[k - 1]  # but 0 at the primes in (R, K], not 1
-            cototient[K - primes[:np.searchsorted(primes, K, side="right")]] += 1
             values[0] = 0  # the k=1 term is 0
         hi = lo + len(values) - 1
         # the block's runs: from lo, then from each start inside the block

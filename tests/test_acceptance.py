@@ -132,7 +132,7 @@ def test_exclusion_worked_example_d20():
         assert report.total_unreduced == 190
         assert report.excluded == 63
         assert report.count_by_exclusion == 127
-        assert report.consistent()
+        assert report.first_broken_identity() is None
         assert elapsed < 1.0
 
 
@@ -203,7 +203,7 @@ def test_property_triple_count_agreement():
         for d in range(2, 2001):
             report = count_by_exclusion(d)
             assert report.count_by_exclusion == report.count_by_totient_sum
-            assert report.consistent()
+            assert report.first_broken_identity() is None
         for d in range(2, 301):
             assert count_by_enumeration(d) == count_by_totient_sum(d)
 

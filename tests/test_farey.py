@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -24,7 +25,7 @@ from totient_lab import (
     iter_farey_sequence,
 )
 from totient_lab.farey import _farey_blocks, _farey_windows, _totient_sum
-from totient_lab.sieve import _BLOCK, _smooth_blocks, _totient_blocks
+from totient_lab.sieve import _BLOCK, _smooth_blocks, _totient_blocks, totient_sieve
 from reference_values import totient_by_gcd_count
 from test_sieve import whole_table_totients
 
@@ -180,7 +181,7 @@ class TestCountByExclusion:
         assert report.count_by_exclusion == 127
         assert report.count_by_totient_sum == 127
         assert report.count_by_enumeration is None
-        assert report.consistent()
+        assert report.first_broken_identity() is None
 
     def test_worked_example_10(self):
         report = count_by_exclusion(10)
@@ -191,8 +192,9 @@ class TestCountByExclusion:
         assert (report.total_unreduced, report.excluded, report.count_by_exclusion) == (1, 0, 1)
 
     def test_sieves_half_of_d(self, monkeypatch):
-        # the exclusion sum reads the smooth blocks of 1..D/2; _totient_sum
-        # sieves its own prefix
+        # the exclusion sum reads the smooth blocks of 1..D/2 and a table of
+        # the k <= K = D // (isqrt(D // 2) + 1) for their cototients;
+        # _totient_sum sieves its own prefix
         calls = []
 
         def recorded(route):
@@ -201,10 +203,11 @@ class TestCountByExclusion:
                 return route(*args)
             return call
 
-        for route in (_smooth_blocks, _totient_blocks):
+        for route in (_smooth_blocks, _totient_blocks, totient_sieve):
             monkeypatch.setattr(farey, route.__name__, recorded(route))
-        assert count_by_exclusion(10**6 + 1).consistent()
-        assert calls == [("_smooth_blocks", 500_000), ("_totient_blocks", 10**4, Convention.MODERN)]
+        assert count_by_exclusion(10**6 + 1).first_broken_identity() is None
+        assert calls == [("totient_sieve", 1412), ("_smooth_blocks", 500_000),
+                         ("_totient_blocks", 10**4, Convention.MODERN)]
 
     @pytest.mark.parametrize("d", [2, 3, 7, 20, 50, 97, 256, 999])
     def test_excluded_matches_explicit_loop(self, d):
@@ -245,24 +248,29 @@ class TestCountByExclusion:
             count_by_exclusion=31,
             count_by_totient_sum=30,
         )
-        assert not bad.consistent()
         assert bad.first_broken_identity() == "count_by_exclusion=31 != count_by_totient_sum=30"
 
     def test_first_broken_identity_in_order(self):
         good = count_by_exclusion(10)
         assert good.first_broken_identity() is None
         cases = [
-            ({"total_unreduced": 46}, "total_unreduced=46 != D(D-1)/2=45"),
-            ({"excluded": 15}, "count_by_exclusion=31 != total_unreduced-excluded=30"),
+            ({"count_by_totient_sum": 30}, "count_by_exclusion=31 != count_by_totient_sum=30"),
             ({"count_by_enumeration": 30}, "count_by_enumeration=30 != count_by_exclusion=31"),
             # two broken identities: the first in order is named
-            ({"excluded": 15, "count_by_enumeration": 30},
-             "count_by_exclusion=31 != total_unreduced-excluded=30"),
+            ({"count_by_totient_sum": 30, "count_by_enumeration": 30},
+             "count_by_exclusion=31 != count_by_totient_sum=30"),
         ]
         for changes, expected in cases:
-            bad = dataclasses.replace(good, **changes)
-            assert bad.first_broken_identity() == expected
-            assert not bad.consistent()
+            assert dataclasses.replace(good, **changes).first_broken_identity() == expected
+
+    @pytest.mark.parametrize("changes,expected", [
+        ({"total_unreduced": 46}, "total_unreduced=46 != D(D-1)/2=45"),
+        ({"excluded": 15}, "count_by_exclusion=31 != total_unreduced-excluded=30"),
+        ({"count_by_exclusion": 30}, "count_by_exclusion=30 != total_unreduced-excluded=31"),
+    ])
+    def test_report_breaking_an_identity_by_construction_is_refused(self, changes, expected):
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            dataclasses.replace(count_by_exclusion(10), **changes)
 
 
 class TestCountReducible:
@@ -282,7 +290,7 @@ class TestTripleAgreement:
         for d in range(2, 401):
             report = count_by_exclusion(d)
             assert report.count_by_exclusion == report.count_by_totient_sum
-            assert report.consistent()
+            assert report.first_broken_identity() is None
 
     @pytest.mark.parametrize("d", [2, 3, 10, 50, 149, 300])
     def test_enumeration_agrees(self, d):

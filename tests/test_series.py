@@ -211,8 +211,8 @@ class TestNarrowTypes:
 
 class TestProductsAtTheTableLimit:
     # numpy array arithmetic wraps silently on overflow, so these compare
-    # the int64 products k * rad(k) * p**2 and r * k at SIEVE_LIMIT with
-    # Python ints, which cannot overflow
+    # the int64 products k * rad(k) * p**2 and the int32 members r * k at
+    # SIEVE_LIMIT with Python ints, which cannot overflow
     def test_cofactors_match_a_search_in_python_ints(self):
         primes = primes_up_to(isqrt(SIEVE_LIMIT)).tolist()
         found, stack = [], [(1, 1, 0)]  # k, rad(k), index of the least prime k may gain
@@ -295,10 +295,10 @@ class TestIntegratedSeries:
         for n, coeff in enumerate(coefficients, start=2):
             assert coeff == phi_over_n(n)
 
-    @pytest.mark.parametrize("block,chunk", [(4099, 1000), (4099, _CHUNK), (sieve._BLOCK, 7)])
+    @pytest.mark.parametrize("block,chunk", [(4099, 1000), (4099, _CHUNK), (sieve._BLOCK, 7), (1, 7)])
     def test_rows_across_block_and_chunk_seams(self, monkeypatch, block, chunk):
         # the rows come from the sieve's blocks, cut in chunks that do not
-        # line up with them
+        # line up with them; a block of one entry at n = 1 holds no row
         monkeypatch.setattr(sieve, "_BLOCK", block)
         monkeypatch.setattr(series, "_CHUNK", chunk)
         max_n = 3 * 4099 + 1

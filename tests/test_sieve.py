@@ -172,12 +172,6 @@ class TestSmoothBlocks:
 
 
 class TestTotientBlocks:
-    def test_block_holds_every_cofactor_at_the_limit(self):
-        assert _BLOCK >= isqrt(SIEVE_LIMIT)
-        # and every k <= D // (isqrt(D // 2) + 1) <= 2 isqrt(D // 2) + 1 of
-        # the exclusion count
-        assert _BLOCK >= 2 * isqrt(SIEVE_LIMIT // 2) + 1
-
     @pytest.mark.parametrize("convention", [EULER, MODERN])
     def test_matches_whole_table_kernel_to_2000(self, convention):
         for max_n in range(1, 2001):
@@ -197,12 +191,15 @@ class TestTotientBlocks:
         assert first_difference(table.values, expected) is None
         assert not table.values.flags.writeable
 
-    @pytest.mark.parametrize("max_n", [1, 2, 3, 4, 50, 4099, 3 * 4099 + 1, 10**5 + 3])
+    @pytest.mark.parametrize("max_n", [1, 2, 3, 4, 50, 4099, 3 * 4099 + 1, 10**5 + 3, 300_000])
     def test_matches_whole_table_kernel_with_other_block_sizes(self, monkeypatch, max_n):
         # 4099 is prime, so no stride lines up with the seams; a block of
-        # isqrt(max_n) + 1 entries is the least that holds every cofactor
+        # isqrt(max_n) + 1 entries holds every cofactor j <= J, and blocks
+        # of 1, 7 and 64 entries hold few of them (J = 547 at 300,000).  The
+        # tiny blocks run where they make at most 5,000 blocks, about 1.5 s.
         expected = whole_table_totients(max_n, EULER)
-        for block in (4099, isqrt(max_n) + 1):
+        tiny = [block for block in (1, 7, 64) if max_n // block <= 5000]
+        for block in (4099, isqrt(max_n) + 1, *tiny):
             monkeypatch.setattr(sieve, "_BLOCK", block)
             difference = first_difference(totient_sieve(max_n, EULER).values, expected)
             assert difference is None, f"_BLOCK={block}: {difference}"
@@ -228,11 +225,27 @@ class TestTotientBlocks:
     @pytest.mark.parametrize("D", [2 * _BLOCK - 2, 2 * _BLOCK, 2 * _BLOCK + 1, 2 * _BLOCK + 2])
     def test_exclusion_count_with_half_of_d_at_a_block_seam(self, D):
         report = count_by_exclusion(D)
-        assert report.consistent(), report.first_broken_identity()
+        assert report.first_broken_identity() is None
         phi = whole_table_totients(D, EULER)
         k = np.arange(2, D // 2 + 1, dtype=np.uint64)
         assert report.excluded == int(np.dot(D // k - 1, phi[1:D // 2]))
         assert report.count_by_totient_sum == int(phi.sum())
+
+    @pytest.mark.parametrize("block,D", [(1, 4099), (7, 30_000), (64, 300_000)])
+    def test_count_routes_with_tiny_blocks(self, monkeypatch, block, D):
+        # the k <= K = D // (isqrt(D // 2) + 1) of the exclusion count run
+        # past the first block (K = 89, 243 and 774), as do the cofactors of
+        # _totient_sum's sieve prefix; at most 5,000 blocks each
+        monkeypatch.setattr(sieve, "_BLOCK", block)
+        phi = whole_table_totients(D, EULER)
+        running = np.cumsum(phi)
+        k = np.arange(2, D // 2 + 1, dtype=np.uint64)
+        report = count_by_exclusion(D)
+        assert report.excluded == int(np.dot(D // k - 1, phi[1:D // 2]))
+        assert report.count_by_totient_sum == int(running[-1])  # from _totient_sum
+        checkpoints = sorted({2, block + 1, D // 2, D})
+        rows = cumulative_counts(checkpoints)
+        assert [r.fraction_count for r in rows] == [int(running[d - 1]) for d in checkpoints]
 
     def test_cumulative_counts_across_block_seams(self):
         checkpoints = [2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 2 * _BLOCK + 1, 3 * _BLOCK]
