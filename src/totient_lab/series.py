@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Iterator
 import numpy as np
 
 from .core import Convention, _check_range, factorize, totient
-from .sieve import SIEVE_LIMIT, _totient_blocks, primes_up_to, totient_sieve
+from .sieve import SIEVE_LIMIT, _ranges, _totient_blocks, primes_up_to, totient_sieve
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -119,16 +119,6 @@ class CoefficientGroup:
     coefficient: Fraction
     radical: int
     members: tuple[int, ...]
-
-
-def _ranges(first: np.ndarray, counts: np.ndarray, step: np.ndarray) -> np.ndarray:
-    """first[i] + j * step[i] for j = 0..counts[i] - 1, for each i in turn,
-    in the dtype of counts, which first and step share."""
-    run = np.repeat(np.cumsum(counts, dtype=counts.dtype) - counts, counts)  # where each run starts
-    run -= np.arange(len(run), dtype=run.dtype)
-    run *= np.repeat(-step, counts)
-    run += np.repeat(first, counts)
-    return run
 
 
 def _cofactors(primes: np.ndarray, max_n: int) -> tuple[np.ndarray, np.ndarray]:

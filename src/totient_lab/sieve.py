@@ -7,12 +7,12 @@ in-place multiply per stride of each prime up to sqrt(max_n), and
 _totient_blocks finishes the block with one scatter for the primes above
 it.  The counts, the benchmark and the CLI's `table` and `series` reduce or
 write the blocks as they come and hold no table; totient_sieve copies them
-into one.  On a 2-vCPU Xeon VM, summing the blocks of 10**7 entries took
-0.22-0.29 s, and of all 10**8 2.8-3.1 s with a peak RSS of 45 MiB.  The
-CLI's `count 100000000` makes no such pass: its exclusion sum reads the
-smooth blocks of 1..5*10**7 with no scatter (0.6 s in-process; 0.7 s and
-35 MiB for `--method exclusion`), and its totient sum a prefix of about
-D^(2/3) (`--method sum`: 0.21 s, 34 MiB).
+into one.  On a 2-vCPU Xeon VM the blocks of 10**7 entries summed in
+0.20 s; `bench 100000000` took 3.06-3.18 s and 44.6-44.8 MiB.  `count
+100000000` makes no such pass: its exclusion sum reads the smooth blocks
+of 1..5*10**7 with no scatter (0.67-0.76 s in-process; `--method
+exclusion` 0.75-0.86 s, 33.6-33.7 MiB), and its totient sum a prefix of
+about D^(2/3) (`--method sum` 0.14-0.20 s, 33.0-33.1 MiB).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .core import Convention, _check_range, totient, totient_bruteforce
 #: Practical table-size limit; larger requests are refused.  A whole table
 #: (totient_sieve) costs 8 bytes per entry, roughly 800 MB at the limit.
 #: _totient_blocks holds one block and 4 bytes per prime <= N/2, so for its
-#: readers the limit bounds time, 2.8-3.1 s for a pass over 10**8 entries.
+#: readers the limit bounds time, about 3 s for a pass over 10**8 entries.
 SIEVE_LIMIT = 10**8
 
 #: Per-method input bounds for the benchmark.  The brute-force route costs
@@ -92,6 +92,18 @@ def _prime_count_bound(x: int) -> int:
     """An upper bound on the number of primes <= x: 1.25506 x / ln x for
     x > 1 (Rosser & Schoenfeld, Illinois J. Math. 1962, Corollary 1)."""
     return int(1.25506 * x / log(x)) + 1 if x > 1 else 0
+
+
+def _ranges(first: np.ndarray, counts: np.ndarray, step: np.ndarray | None = None) -> np.ndarray:
+    """first[i] + j * step[i] for j < counts[i], run after run, in the dtype
+    of counts, which first and step share; step 1 if omitted.  j is formed
+    before the product, so int32 runs whose values fit never overflow."""
+    run = np.arange(counts.sum(), dtype=counts.dtype)
+    run -= np.repeat(np.cumsum(counts, dtype=counts.dtype) - counts, counts)  # j
+    if step is not None:
+        run *= np.repeat(step, counts)
+    run += np.repeat(first, counts)
+    return run
 
 
 def _smooth_blocks(max_n: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
@@ -168,14 +180,12 @@ def _totient_blocks(
         found += len(primes)
         del primes
         known = large[:found]
-        starts = np.searchsorted(known, -(-lo // cofactors))
-        counts = np.searchsorted(known, hi // cofactors, side="right") - starts
+        starts = np.searchsorted(known, -(-lo // cofactors)).astype(np.int32)
+        counts = np.searchsorted(known, hi // cofactors, side="right").astype(np.int32)
+        counts -= starts
         # cofactors[i] * p is in the block for the counts[i] primes p from
         # known[starts[i]] on
-        at = np.repeat((starts - np.cumsum(counts) + counts).astype(np.int32), counts)
-        at += np.arange(len(at), dtype=np.int32)
-        index = known[at]
-        del at
+        index = known[_ranges(starts, counts)]
         index *= np.repeat(cofactors, counts)
         index -= lo
         val[index] -= np.repeat(cofactor_phi[2:], counts)

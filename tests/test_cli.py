@@ -494,12 +494,45 @@ class TestCountCommand:
         out = run_ok(runner, ["count", "100", "--method", "sum", "--format", "json"])
         assert json.loads(out) == {"max_denominator": 100, "method": "sum", "count": 3043}
 
+    @pytest.mark.parametrize("fmt", ["plain", "csv"])
+    def test_enumeration_skipped_above_its_bound(self, runner, fmt):
+        d = ENUMERATION_BOUND + 1
+        report = count_by_exclusion(d)
+        names = ["max_denominator", "total_unreduced", "excluded", "count_by_exclusion",
+                 "count_by_totient_sum"]
+        values = [d, report.total_unreduced, report.excluded, report.count_by_exclusion,
+                  report.count_by_totient_sum]
+        skipped = f"skipped (D exceeds {ENUMERATION_BOUND})"
+        expected = {  # json's null is TestJsonBytes' case
+            "plain": [f"{n}: {v}" for n, v in zip(names, values)]
+                     + [f"count_by_enumeration: {skipped}"],
+            "csv": [",".join(names + ["count_by_enumeration"]), ",".join(map(str, values)) + ","],
+        }[fmt]
+        out = run_ok(runner, ["count", str(d), "--method", "all", "--format", fmt])
+        assert out.splitlines() == expected
+
     def test_cross_check_failure_exits_3(self, runner, monkeypatch):
         monkeypatch.setattr(farey, "count_by_enumeration", lambda d: 999)
         result = runner.invoke(cli.main, ["count", "20", "--method", "all"])
         assert result.exit_code == 3
         assert "disagree" in result.stderr
         assert "count_by_enumeration=999 != count_by_exclusion=127 at D=20" in result.stderr
+
+
+class TestAllocationFailure:
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("module,producer,args", [
+        (sieve, "_totient_blocks", ["table", "1000"]),
+        (farey, "_smooth_blocks", ["count", "1000"]),
+    ], ids=["table", "count"])
+    def test_memory_error_at_the_first_block_exits_2(self, runner, monkeypatch, module,
+                                                      producer, args, fmt):
+        def exhausted(*_):
+            raise MemoryError
+            yield
+
+        monkeypatch.setattr(module, producer, exhausted)
+        assert_refused(runner, args + ["--format", fmt], "allocation failed; request a smaller range")
 
 
 class TestFareyCommand:

@@ -378,7 +378,7 @@ class TestFareyBlocks:
         for d in range(2, FAREY_MATERIALIZE_BOUND + 1):
             m = _farey_windows(d)
             k = -(-d * d // m)
-            assert k <= 6 * farey._BLOCK, d
+            assert k <= 6 * farey._WINDOW_TERMS, d
             assert m == 1 or 3 * 2**14 * m <= d * d, d
             assert d * max(m, k) < 2**63, d
 

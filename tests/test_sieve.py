@@ -17,7 +17,13 @@ from totient_lab import (
     totient_sieve,
 )
 from totient_lab import sieve
-from totient_lab.sieve import BENCH_BRUTEFORCE_BOUND, _BLOCK, _smooth_blocks, _totient_blocks
+from totient_lab.sieve import (
+    BENCH_BRUTEFORCE_BOUND,
+    _BLOCK,
+    _ranges,
+    _smooth_blocks,
+    _totient_blocks,
+)
 from reference_values import (
     CUMULATIVE_ERRATA,
     CUMULATIVE_PRINTED,
@@ -97,6 +103,55 @@ class TestTotientSieve:
         table = totient_sieve(10**7, MODERN)
         for n in sampled_entries(10**7, seed=20071):
             assert table.phi(n) == totient(n, MODERN), f"n={n}"
+
+
+INT32_MAX = 2**31 - 1
+
+
+@st.composite
+def int32_runs(draw) -> tuple[list[int], list[int], list[int]]:
+    """(first, counts, step) for up to 8 runs, empty runs included, every
+    value of which fits int32: the last ones may reach 2**31 - 1."""
+    first, counts, step = [], [], []
+    for _ in range(draw(st.integers(0, 8))):
+        c, s = draw(st.integers(0, 6)), draw(st.integers(1, 2**20))
+        last = INT32_MAX - max(c - 1, 0) * s
+        first.append(draw(st.one_of(st.just(last), st.integers(0, last))))
+        counts.append(c)
+        step.append(s)
+    return first, counts, step
+
+
+class TestRanges:
+    """_ranges against a double loop over the runs, in the dtype of counts."""
+
+    @staticmethod
+    def double_loop(first, counts, step) -> list[int]:
+        return [f + j * s for f, c, s in zip(first, counts, step) for j in range(c)]
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("first,counts,step", [
+        ([], [], []),
+        ([5], [0], [3]),
+        ([0, 7, 9, 2], [0, 3, 0, 1], [4, 1, 1, 6]),
+        ([3, 100, 5, 11], [4, 0, 2, 0], [2, 17, 9, 1]),
+        # int32 runs whose last value is 2**31 - 1
+        ([INT32_MAX - 3, 0, INT32_MAX, INT32_MAX - 2 * 2**30], [4, 2, 1, 3], [1, 2**30, 5, 2**30]),
+    ])
+    def test_matches_a_double_loop(self, dtype, first, counts, step):
+        first, counts, step = (np.array(x, dtype=dtype) for x in (first, counts, step))
+        stepped, unit = _ranges(first, counts, step), _ranges(first, counts)
+        assert stepped.dtype == unit.dtype == dtype
+        assert stepped.tolist() == self.double_loop(first.tolist(), counts.tolist(), step.tolist())
+        assert unit.tolist() == self.double_loop(first.tolist(), counts.tolist(), [1] * len(first))
+
+    @given(int32_runs())
+    def test_int32_runs_match_a_double_loop(self, runs):
+        first, counts, step = (np.array(x, dtype=np.int32) for x in runs)
+        assert _ranges(first, counts, step).tolist() == self.double_loop(*runs)
+        unit = [min(f, INT32_MAX - max(c - 1, 0)) for f, c in zip(runs[0], runs[1])]
+        assert _ranges(np.array(unit, dtype=np.int32), counts).tolist() == self.double_loop(
+            unit, runs[1], [1] * len(unit))
 
 
 def whole_table_totients(max_n: int, convention: Convention) -> np.ndarray:
